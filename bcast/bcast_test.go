@@ -320,8 +320,9 @@ func TestSliceHelpers(t *testing.T) {
 
 func TestAlgorithmsListing(t *testing.T) {
 	algos := bcast.Algorithms()
-	if len(algos) < 10 {
-		t.Fatalf("registry listing too short: %d entries", len(algos))
+	// Seven static broadcasts plus the two SMP variants.
+	if len(algos) != 9 {
+		t.Fatalf("registry listing has %d entries, want 9", len(algos))
 	}
 	found := map[string]bcast.AlgorithmInfo{}
 	for _, a := range algos {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/tune"
 )
 
 // ---------------------------------------------------------------------
@@ -115,11 +116,14 @@ func BenchmarkFig8(b *testing.B) { benchFig6(b, 129, bench.Fig8Sizes()) }
 // themselves; each b.N iteration is one broadcast.
 // ---------------------------------------------------------------------
 
+// ringOpt pins the paper's tuned broadcast.
+var ringOpt = collective.Options{Algorithm: tune.RingOpt}
+
 func benchUserLevel(b *testing.B, variant bench.Variant, np, n int) {
-	fn := map[bench.Variant]func(mpi.Comm, []byte, int) error{
-		bench.Native:   collective.BcastScatterRingAllgather,
-		bench.Opt:      collective.BcastScatterRingAllgatherOpt,
-		bench.Binomial: collective.BcastBinomial,
+	o := map[bench.Variant]collective.Options{
+		bench.Native:   {Algorithm: tune.RingNative},
+		bench.Opt:      ringOpt,
+		bench.Binomial: {Algorithm: tune.Binomial},
 	}[variant]
 	w, err := engine.NewWorld(engine.Options{NP: np, Timeout: 10 * time.Minute})
 	if err != nil {
@@ -138,7 +142,7 @@ func benchUserLevel(b *testing.B, variant bench.Variant, np, n int) {
 			return err
 		}
 		for i := 0; i < b.N; i++ {
-			if err := fn(c, buf, 0); err != nil {
+			if err := collective.Broadcast(c, buf, 0, o); err != nil {
 				return err
 			}
 		}
@@ -281,7 +285,7 @@ func BenchmarkAblationEagerLimit(b *testing.B) {
 			err = w.Run(func(c mpi.Comm) error {
 				buf := make([]byte, n)
 				for i := 0; i < b.N; i++ {
-					if err := collective.BcastScatterRingAllgatherOpt(c, buf, 0); err != nil {
+					if err := collective.Broadcast(c, buf, 0, ringOpt); err != nil {
 						return err
 					}
 				}
@@ -463,8 +467,10 @@ func BenchmarkExtensionSMPBcast(b *testing.B) {
 	const np, n = 12, 256 << 10
 	topo := topology.Blocked(np, 4)
 	variants := map[string]func(mpi.Comm, []byte, int) error{
-		"flat-opt": collective.BcastScatterRingAllgatherOpt,
-		"smp-opt":  collective.BcastSMPOpt,
+		"flat-opt": func(c mpi.Comm, buf []byte, root int) error {
+			return collective.Broadcast(c, buf, root, ringOpt)
+		},
+		"smp-opt": collective.BcastSMPOpt,
 	}
 	for name, fn := range variants {
 		b.Run(name, func(b *testing.B) {
@@ -531,7 +537,7 @@ func BenchmarkExecutorWorldBcast(b *testing.B) {
 						if c.Rank() == 0 {
 							copy(buf, src)
 						}
-						return collective.BcastScatterRingAllgatherOpt(c, buf, 0)
+						return collective.Broadcast(c, buf, 0, ringOpt)
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -681,7 +687,7 @@ func BenchmarkWireThroughput(b *testing.B) {
 						return err
 					}
 					for i := 0; i < b.N; i++ {
-						if err := collective.BcastScatterRingAllgatherOpt(c, buf, 0); err != nil {
+						if err := collective.Broadcast(c, buf, 0, ringOpt); err != nil {
 							return err
 						}
 					}

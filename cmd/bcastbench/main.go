@@ -13,8 +13,8 @@
 // MPI_Bcast_native / MPI_Bcast_opt comparison at laptop scale. -algo also
 // accepts any algorithm registered in internal/collective (see -list,
 // which prints each algorithm's capability flags) — including the
-// segmented ring family and its overlap-aware -seg-nb variants, whose
-// segment size -seg selects — and -tune-table dispatches every broadcast
+// segmented rings and the chain, whose segment size -seg selects — and
+// -tune-table dispatches every broadcast
 // through a JSON tuning table produced by the auto-tuner.
 //
 // Beyond the fixed-algorithm benchmark, the tool drives the auto-tuner

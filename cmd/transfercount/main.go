@@ -81,12 +81,12 @@ func main() {
 			fmt.Printf("%-6d %12s %12s %8s\n", p, "-", "-", "skipped")
 			continue
 		}
-		nat, err := measureRing(collective.BcastScatterRingAllgather, p, *nFlag)
+		nat, err := measureRing(tune.RingNative, p, *nFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "transfercount: %v\n", err)
 			os.Exit(1)
 		}
-		opt, err := measureRing(collective.BcastScatterRingAllgatherOpt, p, *nFlag)
+		opt, err := measureRing(tune.RingOpt, p, *nFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "transfercount: %v\n", err)
 			os.Exit(1)
@@ -101,7 +101,8 @@ func main() {
 	}
 }
 
-func measureRing(algo func(mpi.Comm, []byte, int) error, p, n int) (int64, error) {
+func measureRing(algo string, p, n int) (int64, error) {
+	o := collective.Options{Algorithm: algo}
 	col := trace.NewCollector()
 	err := engine.Run(p, func(c mpi.Comm) error {
 		tc := col.Wrap(c)
@@ -111,7 +112,7 @@ func measureRing(algo func(mpi.Comm, []byte, int) error, p, n int) (int64, error
 				buf[i] = byte(i)
 			}
 		}
-		return algo(tc, buf, 0)
+		return collective.Broadcast(tc, buf, 0, o)
 	})
 	if err != nil {
 		return 0, err

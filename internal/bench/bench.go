@@ -113,28 +113,6 @@ func ParseVariant(s string) (Variant, error) {
 	}
 }
 
-// fn returns the executable collective for the variant.
-func (v Variant) fn() func(mpi.Comm, []byte, int) error {
-	switch v {
-	case Native:
-		return collective.BcastScatterRingAllgather
-	case Opt:
-		return collective.BcastScatterRingAllgatherOpt
-	case Binomial:
-		return collective.BcastBinomial
-	case AutoNative:
-		return collective.Bcast
-	case AutoOpt:
-		return collective.BcastOpt
-	case SMPNative:
-		return collective.BcastSMP
-	case SMPOpt:
-		return collective.BcastSMPOpt
-	default:
-		return nil
-	}
-}
-
 // ProgramFor returns the static communication schedule of a tuner
 // decision, resolved through the collective registry.
 func ProgramFor(d tune.Decision, p, root, n int) (*sched.Program, error) {
@@ -253,8 +231,11 @@ func (cfg RealConfig) bcastFn() (func(c mpi.Comm, buf []byte, root int) error, e
 				return collective.Broadcast(c, buf, root, o)
 			}, nil
 		}
-		if fn := cfg.Variant.fn(); fn != nil {
-			return fn, nil
+		switch cfg.Variant {
+		case SMPNative:
+			return collective.BcastSMP, nil
+		case SMPOpt:
+			return collective.BcastSMPOpt, nil
 		}
 		return nil, fmt.Errorf("bench: bad variant %v", cfg.Variant)
 	}

@@ -42,20 +42,17 @@ func (cfg SimConfig) placedMap(pl tune.Placement, p int) (*topology.Map, error) 
 
 // FamilyCandidates returns the registry candidates restricted to the
 // scatter-ring dispatch family (binomial, scatter-rdb, the two rings and
-// their segmented and overlap-aware segmented variants) — the set the
-// paper tunes among. Extensions
+// their segmented variants) — the set the paper tunes among. Extensions
 // like the pipelined chain are excluded, so an auto-tuned table over this
-// set is directly comparable to SelectAlgorithm's static thresholds.
+// set is directly comparable to the static thresholds of tune.MPICH3.
 func FamilyCandidates() []tune.Candidate {
 	family := map[string]bool{
-		tune.Binomial:     true,
-		tune.ScatterRdb:   true,
-		tune.RingNative:   true,
-		tune.RingOpt:      true,
-		tune.RingSeg:      true,
-		tune.RingOptSeg:   true,
-		tune.RingSegNB:    true,
-		tune.RingOptSegNB: true,
+		tune.Binomial:   true,
+		tune.ScatterRdb: true,
+		tune.RingNative: true,
+		tune.RingOpt:    true,
+		tune.RingSeg:    true,
+		tune.RingOptSeg: true,
 	}
 	var out []tune.Candidate
 	for _, c := range collective.Candidates() {

@@ -68,7 +68,7 @@ func startAllocHarness(t *testing.T, np int, exec engine.ExecPolicy, mx *metrics
 				if r == 0 {
 					binary.LittleEndian.PutUint64(ctl, uint64(int64(<-h.jobs)))
 				}
-				if err := BcastBinomial(c, ctl, 0); err != nil {
+				if err := runStatic(c, ctl, 0, 0, tune.Binomial, binomialOps); err != nil {
 					return err
 				}
 				idx := int(int64(binary.LittleEndian.Uint64(ctl)))
@@ -106,13 +106,15 @@ func (h *allocHarness) stop(t *testing.T) {
 	}
 }
 
-// TestBcastOptSegSteadyStateAllocs is the allocs/op gate for the paper's
-// segmented scatter-ring-allgather broadcast: on a long-lived world the
-// per-broadcast allocation count must be (a) small — the engine's pooled
-// staging, envelopes, posted receives and requests leave only incidental
+// TestBcastOptSegSteadyStateAllocs is the allocs/op gate for the
+// broadcasts the runtime executes from static schedules — the paper's
+// segmented scatter-ring-allgather and every other static registration:
+// on a long-lived world the per-broadcast allocation count must be (a)
+// small — the engine's pooled staging, envelopes, posted receives and
+// requests, and the pooled per-call op scratch, leave only incidental
 // allocations — and (b) independent of the message size. (b) is the
 // sharp edge: a 1 MiB broadcast with 8 KiB segments moves 128x the
-// segments of a 4 KiB one, so any leaked per-segment or per-byte
+// segments of a 4 KiB one, so any leaked per-segment, per-op or per-byte
 // allocation shows up as a slope across the sizes.
 func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -132,69 +134,75 @@ func TestBcastOptSegSteadyStateAllocs(t *testing.T) {
 		flatSlack = 32.0
 	)
 	sizes := []int{4 << 10, 64 << 10, 1 << 20}
+	algos := []string{
+		tune.Binomial, tune.ScatterRdb, tune.RingNative, tune.RingOpt,
+		tune.RingSeg, tune.RingOptSeg, tune.Chain,
+	}
 
-	// The grid's second axis proves the observability layer free: the
-	// "spans" cells dispatch through the selection path (Broadcast) with
-	// span recording on, and must meet the exact same budgets as the
-	// direct-call cells. Counters are always on in both.
+	// Every cell broadcasts through the selection path (Broadcast), one
+	// subtest per algorithm. The grid's spans axis proves the
+	// observability layer free: the "spans" cells record spans and must
+	// meet the exact same budgets as the bare cells. Counters are always
+	// on in both.
 	for _, exec := range []engine.ExecPolicy{engine.Goroutine, engine.Pooled} {
 		for _, spans := range []bool{false, true} {
 			name := exec.String()
-			bcastFn := func(c mpi.Comm, buf []byte) error {
-				return BcastScatterRingAllgatherOptSeg(c, buf, 0, segSize)
-			}
-			var mx *metrics.Metrics
 			if spans {
 				name += "/spans"
-				mx = metrics.New(np, 256)
-				o := Options{Algorithm: tune.RingOptSeg, SegSize: segSize}
-				bcastFn = func(c mpi.Comm, buf []byte) error {
-					return Broadcast(c, buf, 0, o)
-				}
 			}
 			t.Run(name, func(t *testing.T) {
-				h := startAllocHarness(t, np, exec, mx, sizes, bcastFn)
-				defer h.stop(t)
+				for _, algo := range algos {
+					t.Run(algo, func(t *testing.T) {
+						var mx *metrics.Metrics
+						if spans {
+							mx = metrics.New(np, 256)
+						}
+						o := Options{Algorithm: algo, SegSize: segSize}
+						h := startAllocHarness(t, np, exec, mx, sizes, func(c mpi.Comm, buf []byte) error {
+							return Broadcast(c, buf, 0, o)
+						})
+						defer h.stop(t)
 
-				// Warm the pools: the first broadcast at each size populates
-				// the size classes the steady state reuses.
-				for i := range sizes {
-					if err := h.round(i); err != nil {
-						t.Fatal(err)
-					}
-				}
+						// Warm the pools: the first broadcast at each size
+						// populates the size classes the steady state reuses.
+						for i := range sizes {
+							if err := h.round(i); err != nil {
+								t.Fatal(err)
+							}
+						}
 
-				got := make([]float64, len(sizes))
-				for i, n := range sizes {
-					i := i
-					got[i] = testing.AllocsPerRun(20, func() {
-						if err := h.round(i); err != nil {
-							t.Fatal(err)
+						got := make([]float64, len(sizes))
+						for i, n := range sizes {
+							got[i] = testing.AllocsPerRun(20, func() {
+								if err := h.round(i); err != nil {
+									t.Fatal(err)
+								}
+							})
+							t.Logf("size=%-8d allocs/broadcast=%.1f", n, got[i])
+						}
+						for i, n := range sizes {
+							if got[i] > perRoundBudget {
+								t.Errorf("size %d: %.1f allocs per broadcast round, budget %.0f", n, got[i], perRoundBudget)
+							}
+						}
+						if d := got[len(sizes)-1] - got[0]; d > flatSlack {
+							t.Errorf("allocs not flat across sizes: %.1f more at %d B than at %d B (slack %.0f)",
+								d, sizes[len(sizes)-1], sizes[0], flatSlack)
+						}
+						// Spot-check the payload actually traveled.
+						for i, n := range sizes {
+							for r := 1; r < np; r++ {
+								if h.bufs[i][r][0] != 0xAB || h.bufs[i][r][n-1] != 0xCD {
+									t.Fatalf("size %d rank %d: payload not broadcast", n, r)
+								}
+							}
+						}
+						if mx != nil {
+							if rec := mx.Snapshot().SpansRecorded; rec == 0 {
+								t.Error("spans cell recorded no spans")
+							}
 						}
 					})
-					t.Logf("size=%-8d allocs/broadcast=%.1f", n, got[i])
-				}
-				for i, n := range sizes {
-					if got[i] > perRoundBudget {
-						t.Errorf("size %d: %.1f allocs per broadcast round, budget %.0f", n, got[i], perRoundBudget)
-					}
-				}
-				if d := got[len(sizes)-1] - got[0]; d > flatSlack {
-					t.Errorf("allocs not flat across sizes: %.1f more at %d B than at %d B (slack %.0f)",
-						d, sizes[len(sizes)-1], sizes[0], flatSlack)
-				}
-				// Spot-check the payload actually traveled.
-				for i, n := range sizes {
-					for r := 1; r < np; r++ {
-						if h.bufs[i][r][0] != 0xAB || h.bufs[i][r][n-1] != 0xCD {
-							t.Fatalf("size %d rank %d: payload not broadcast", n, r)
-						}
-					}
-				}
-				if mx != nil {
-					if rec := mx.Snapshot().SpansRecorded; rec == 0 {
-						t.Error("spans cell recorded no spans")
-					}
 				}
 			})
 		}

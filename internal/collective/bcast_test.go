@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mpi"
 	"repro/internal/topology"
+	"repro/internal/tune"
 )
 
 // pattern fills deterministic, offset-dependent bytes so any misplaced
@@ -24,6 +25,18 @@ func pattern(n int) []byte {
 }
 
 type bcastFn func(mpi.Comm, []byte, int) error
+
+// algo broadcasts with the registered algorithm name, pinned through the
+// selection path like every caller outside this package.
+func algo(name string) bcastFn { return algoSeg(name, 0) }
+
+// algoSeg is algo with a segment size for the segmented algorithms.
+func algoSeg(name string, seg int) bcastFn {
+	o := Options{Algorithm: name, SegSize: seg}
+	return func(c mpi.Comm, buf []byte, root int) error {
+		return Broadcast(c, buf, root, o)
+	}
+}
 
 // runBcast executes algo on a fresh world and checks every rank ends with
 // the full pattern.
@@ -66,10 +79,10 @@ var algorithms = []struct {
 	fn       bcastFn
 	pow2Only bool
 }{
-	{"binomial", BcastBinomial, false},
-	{"scatter-ring-native", BcastScatterRingAllgather, false},
-	{"scatter-ring-opt", BcastScatterRingAllgatherOpt, false},
-	{"scatter-rdb", BcastScatterRdbAllgather, true},
+	{"binomial", algo(tune.Binomial), false},
+	{"scatter-ring-native", algo(tune.RingNative), false},
+	{"scatter-ring-opt", algo(tune.RingOpt), false},
+	{"scatter-rdb", algo(tune.ScatterRdb), true},
 	{"dispatch-native", Bcast, false},
 	{"dispatch-opt", BcastOpt, false},
 	{"smp-native", BcastSMP, false},
@@ -149,7 +162,7 @@ func TestBcastSMPSingleNodeFallsBack(t *testing.T) {
 
 func TestBcastRejectsBadRoot(t *testing.T) {
 	err := engine.Run(2, func(c mpi.Comm) error {
-		err := BcastBinomial(c, nil, 5)
+		err := Broadcast(c, nil, 5, Options{Algorithm: tune.Binomial})
 		if !errors.Is(err, mpi.ErrRank) {
 			return fmt.Errorf("want ErrRank, got %v", err)
 		}
@@ -162,7 +175,7 @@ func TestBcastRejectsBadRoot(t *testing.T) {
 
 func TestRdbRejectsNonPow2(t *testing.T) {
 	err := engine.Run(3, func(c mpi.Comm) error {
-		err := BcastScatterRdbAllgather(c, make([]byte, 3), 0)
+		err := Broadcast(c, make([]byte, 3), 0, Options{Algorithm: tune.ScatterRdb})
 		if err == nil {
 			return errors.New("want power-of-two error")
 		}
@@ -170,56 +183,6 @@ func TestRdbRejectsNonPow2(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSelectAlgorithm(t *testing.T) {
-	cases := []struct {
-		n, p  int
-		tuned bool
-		want  Algorithm
-	}{
-		// Short messages: always binomial.
-		{0, 64, false, AlgBinomial},
-		{12287, 64, false, AlgBinomial},
-		{12287, 64, true, AlgBinomial},
-		// Small communicators: always binomial, even long messages.
-		{1 << 20, 7, false, AlgBinomial},
-		{1 << 20, 7, true, AlgBinomial},
-		// Medium, power-of-two: recursive doubling.
-		{12288, 64, false, AlgScatterRdbAllgather},
-		{524287, 16, false, AlgScatterRdbAllgather},
-		{524287, 16, true, AlgScatterRdbAllgather},
-		// Medium, non-power-of-two: the ring path (the paper's
-		// mmsg-npof2 case).
-		{12288, 9, false, AlgScatterRingAllgather},
-		{12288, 9, true, AlgScatterRingAllgatherOpt},
-		{524287, 129, false, AlgScatterRingAllgather},
-		{524287, 129, true, AlgScatterRingAllgatherOpt},
-		// Long messages: the ring path regardless of process count.
-		{524288, 16, false, AlgScatterRingAllgather},
-		{524288, 16, true, AlgScatterRingAllgatherOpt},
-		{1 << 25, 256, false, AlgScatterRingAllgather},
-		{1 << 25, 256, true, AlgScatterRingAllgatherOpt},
-	}
-	for _, tc := range cases {
-		if got := SelectAlgorithm(tc.n, tc.p, tc.tuned); got != tc.want {
-			t.Errorf("SelectAlgorithm(%d, %d, %v) = %v want %v", tc.n, tc.p, tc.tuned, got, tc.want)
-		}
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	names := map[Algorithm]string{
-		AlgBinomial:                "binomial",
-		AlgScatterRdbAllgather:     "scatter-rdb-allgather",
-		AlgScatterRingAllgather:    "scatter-ring-allgather(native)",
-		AlgScatterRingAllgatherOpt: "scatter-ring-allgather(opt)",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q want %q", int(a), a.String(), want)
-		}
 	}
 }
 
@@ -235,17 +198,4 @@ func TestDispatchUsesThresholdSizes(t *testing.T) {
 			runBcast(t, "dispatch-threshold-opt", BcastOpt, engine.Options{NP: p}, 0, n)
 		}
 	}
-}
-
-func TestBcastNBCorrectnessGrid(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 8, 9, 10, 16} {
-		for _, root := range []int{0, p - 1} {
-			for _, n := range []int{0, 1, p, 32*p + 5} {
-				runBcast(t, "nb-opt", BcastScatterRingAllgatherOptNB, engine.Options{NP: p}, root, n)
-			}
-		}
-	}
-	// Rendezvous-only pass.
-	runBcast(t, "nb-opt-rdv", BcastScatterRingAllgatherOptNB,
-		engine.Options{NP: 10, EagerLimit: -1}, 3, 640)
 }

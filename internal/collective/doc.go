@@ -1,36 +1,42 @@
 // Package collective implements executable MPI collectives over the
 // mpi.Comm interface.
 //
-// The broadcast family is the subject of the reproduced paper:
+// The broadcast family is the subject of the reproduced paper. Every
+// static broadcast — one whose communication pattern follows from
+// (P, root, n) alone — is an internal/core schedule generator, and this
+// package runs it: a broadcast generates only the calling rank's ops
+// and executes them in order through one interpreter (ExecProgram's),
+// so the schedule the verifier, the simulator and the tuner see is the
+// one that moves the bytes. The registered static broadcasts are
 //
-//   - BcastBinomial — MPICH's short-message whole-buffer binomial tree;
-//   - BcastScatterRingAllgather — MPICH's long-message algorithm
-//     (binomial scatter + enclosed ring allgather), the paper's
-//     MPI_Bcast_native;
-//   - BcastScatterRingAllgatherOpt — the paper's contribution
-//     (binomial scatter + non-enclosed ring allgather), a faithful port
-//     of Listing 1, the paper's MPI_Bcast_opt;
-//   - BcastScatterRingAllgatherSeg / BcastScatterRingAllgatherOptSeg —
-//     segmented variants of the two rings that pipeline the allgather
-//     phase in SegSize chunks (segmentation generalized from the chain
-//     broadcast to the scatter-ring family);
-//   - BcastScatterRdbAllgather — MPICH's medium-message power-of-two
+//   - binomial — MPICH's short-message whole-buffer binomial tree;
+//   - scatter-ring-allgather — MPICH's long-message algorithm (binomial
+//     scatter + enclosed ring allgather), the paper's MPI_Bcast_native;
+//   - scatter-ring-allgather-opt — the paper's contribution (binomial
+//     scatter + the non-enclosed ring of Listing 1), MPI_Bcast_opt;
+//   - scatter-ring-allgather-seg / scatter-ring-allgather-opt-seg — the
+//     two rings with the allgather phase pipelined in SegSize chunks;
+//   - scatter-rdb-allgather — MPICH's medium-message power-of-two
 //     algorithm (binomial scatter + recursive-doubling allgather);
-//   - Bcast / BcastOpt — MPICH3's size/process-count dispatch over the
-//     above (native vs tuned ring path);
-//   - BcastSMP / BcastSMPOpt — the multi-core aware variant described in
-//     the paper's introduction (intra-node binomial on the root's node,
-//     inter-node scatter-ring-allgather among node leaders, intra-node
-//     binomial everywhere else).
+//   - chain — a segmented pipeline chain (extension baseline).
+//
+// Bcast and BcastOpt are MPICH3's size/process-count dispatch over them
+// (native vs tuned ring path). BcastSMP / BcastSMPOpt, the multi-core
+// aware variant described in the paper's introduction (intra-node
+// binomial on the root's node, inter-node scatter-ring-allgather among
+// node leaders, intra-node binomial everywhere else), is the one
+// hand-written broadcast: its sub-communicators come from a run-time
+// Split, and each of its phases runs a static schedule.
 //
 // # Registry and tuning
 //
 // Every broadcast registers into a named registry (registry.go) as a
-// Registration: a stable name (the tune.* name constants), the
-// executable implementation, capability predicates (power-of-two-only,
-// minimum processes, multi-node-only, segmented), and — for algorithms
-// whose communication pattern is static — a schedule generator shared
-// with the verifier, the simulator, and the auto-tuner.
+// Registration: a stable name (the tune.* name constants), capability
+// predicates (power-of-two-only, minimum processes, multi-node-only,
+// segmented), and either a schedule generator in its per-rank (Ops) and
+// whole-world (Program) forms or, for the SMP broadcasts, a Run
+// function. A Plan resolves a decision once and keeps its rank's ops,
+// so persistent executions skip selection and generation entirely.
 //
 // Selection is delegated to internal/tune and flows through exactly one
 // path: every entry point resolves its arguments into an Options value
@@ -41,7 +47,7 @@
 // and the bench harness build the same struct, so "which algorithm runs"
 // has a single answer per (Options, Env) everywhere in the system.
 // tune.MPICH3 reproduces MPICH3's hardcoded dispatch bit-for-bit
-// (golden-tested against SelectAlgorithm), and tune.TableTuner
+// (pinned by a fixed decision table), and tune.TableTuner
 // dispatches through a JSON tuning table derived by the auto-tuner from
 // measured crossover points. RunDecision executes a single decision
 // after checking it against the registered capabilities, so a mis-keyed

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mpi"
 	"repro/internal/trace"
+	"repro/internal/tune"
 )
 
 // TestZeroChunkEdgePaths drives every chunked collective through the
@@ -164,7 +165,7 @@ func TestTagStreamsAdvancePerCollective(t *testing.T) {
 		}
 		buf := make([]byte, 256)
 		// Two collectives consume streams 1 and 2; the probe then draws 3.
-		if err := BcastBinomial(c, buf, 0); err != nil {
+		if err := Broadcast(c, buf, 0, Options{Algorithm: tune.Binomial}); err != nil {
 			return err
 		}
 		if err := Barrier(c); err != nil {

@@ -6,17 +6,18 @@ import (
 	"repro/internal/collective"
 	"repro/internal/engine"
 	"repro/internal/mpi"
+	"repro/internal/tune"
 )
 
 // The tuned broadcast in three lines: run ranks, fill the root's buffer,
-// call the collective.
-func ExampleBcastScatterRingAllgatherOpt() {
+// call the collective with the paper's algorithm pinned.
+func ExampleBroadcast() {
 	err := engine.Run(4, func(c mpi.Comm) error {
 		buf := make([]byte, 4)
 		if c.Rank() == 0 {
 			copy(buf, []byte{10, 20, 30, 40})
 		}
-		if err := collective.BcastScatterRingAllgatherOpt(c, buf, 0); err != nil {
+		if err := collective.Broadcast(c, buf, 0, collective.Options{Algorithm: tune.RingOpt}); err != nil {
 			return err
 		}
 		if c.Rank() == 3 {
@@ -31,20 +32,22 @@ func ExampleBcastScatterRingAllgatherOpt() {
 	// rank 3 received [10 20 30 40]
 }
 
-// SelectAlgorithm reproduces MPICH3's dispatch; the tuned ring serves
-// the paper's two target cases.
-func ExampleSelectAlgorithm() {
-	fmt.Println(collective.SelectAlgorithm(1024, 64, true))   // short
-	fmt.Println(collective.SelectAlgorithm(65536, 64, true))  // medium pow2
-	fmt.Println(collective.SelectAlgorithm(65536, 129, true)) // medium npof2
-	fmt.Println(collective.SelectAlgorithm(1<<20, 64, true))  // long
-	fmt.Println(collective.SelectAlgorithm(1<<20, 64, false)) // long, native
+// The zero Options reproduce MPICH3's dispatch; a tuned MPICH3 tuner
+// serves the paper's two target cases with the non-enclosed ring.
+func ExampleOptions_Decide() {
+	tuned := collective.Options{Tuner: tune.MPICH3{Tuned: true}}
+	env := func(n, p int) tune.Env { return tune.Env{Bytes: n, Procs: p, NumNodes: 1} }
+	fmt.Println(tuned.Decide(env(1024, 64)).Algorithm)                 // short
+	fmt.Println(tuned.Decide(env(65536, 64)).Algorithm)                // medium pow2
+	fmt.Println(tuned.Decide(env(65536, 129)).Algorithm)               // medium npof2
+	fmt.Println(tuned.Decide(env(1<<20, 64)).Algorithm)                // long
+	fmt.Println(collective.Options{}.Decide(env(1<<20, 64)).Algorithm) // long, native
 	// Output:
 	// binomial
 	// scatter-rdb-allgather
-	// scatter-ring-allgather(opt)
-	// scatter-ring-allgather(opt)
-	// scatter-ring-allgather(native)
+	// scatter-ring-allgather-opt
+	// scatter-ring-allgather-opt
+	// scatter-ring-allgather
 }
 
 // Allreduce gives every rank the global sum.

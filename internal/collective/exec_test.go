@@ -10,6 +10,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/sched"
 	"repro/internal/topology"
+	"repro/internal/tune"
 )
 
 // runProgram executes a generated schedule on the real engine and checks
@@ -87,47 +88,7 @@ func TestExecValidation(t *testing.T) {
 func TestBcastChainCollective(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 9} {
 		for _, seg := range []int{0, 50} {
-			runBcast(t, "chain", func(c mpi.Comm, buf []byte, root int) error {
-				return BcastChain(c, buf, root, seg)
-			}, engine.Options{NP: p}, p/2, 10*p+7)
-		}
-	}
-}
-
-// TestExecMatchesHandWrittenTraffic: executing the generated native
-// program produces byte-identical buffers to the hand-written collective
-// run under the same inputs (both already checked against the pattern;
-// here we additionally compare the resulting buffers of a *random*-ish
-// asymmetric size directly).
-func TestExecMatchesHandWrittenTraffic(t *testing.T) {
-	const p, root, n = 10, 3, 777
-	want := pattern(n)
-	for _, mode := range []string{"program", "handwritten"} {
-		got := make([][]byte, p)
-		err := engine.Run(p, func(c mpi.Comm) error {
-			buf := make([]byte, n)
-			if c.Rank() == root {
-				copy(buf, want)
-			}
-			var err error
-			if mode == "program" {
-				err = ExecProgram(c, core.BcastOptProgram(p, root, n), buf)
-			} else {
-				err = BcastScatterRingAllgatherOpt(c, buf, root)
-			}
-			if err != nil {
-				return err
-			}
-			got[c.Rank()] = buf
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		for r := 0; r < p; r++ {
-			if !bytes.Equal(got[r], want) {
-				t.Fatalf("%s: rank %d buffer wrong", mode, r)
-			}
+			runBcast(t, "chain", algoSeg(tune.Chain, seg), engine.Options{NP: p}, p/2, 10*p+7)
 		}
 	}
 }

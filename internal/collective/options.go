@@ -66,8 +66,5 @@ func (o Options) Validate() error {
 // select for this communicator and message — the single selecting entry
 // point behind Bcast, BcastOpt and BcastWith.
 func Broadcast(c mpi.Comm, buf []byte, root int, o Options) error {
-	if err := checkRoot(c, root); err != nil {
-		return err
-	}
 	return RunDecision(c, buf, root, o.Decide(envOf(c, len(buf))))
 }

@@ -10,12 +10,13 @@ import (
 )
 
 // Plan is a pre-resolved broadcast: the tuner decision, the registry
-// entry it names and (for static algorithms) the communication
-// schedule, all computed and validated once so repeated executions skip
-// selection entirely. It is the engine-side half of the facade's
-// persistent handles: Broadcast does envOf + Decide + Lookup + Caps
-// per call; a Plan does them at build time and Execute goes straight
-// to the registered implementation.
+// entry it names and (for static algorithms) this rank's ops of the
+// communication schedule, all computed and validated once so repeated
+// executions skip selection and schedule generation entirely. It is the
+// engine-side half of the facade's persistent handles: Broadcast does
+// envOf + Decide + Lookup + Caps and generates the rank's ops per call;
+// a Plan does them at build time and Execute goes straight to the
+// interpreter (or the registered Run).
 //
 // A Plan belongs to one rank of one communicator group (every rank of
 // a persistent collective builds its own), is not safe for concurrent
@@ -24,10 +25,11 @@ import (
 type Plan struct {
 	n    int
 	root int
+	size int // communicator size, for Program
 	opts Options
 	dec  tune.Decision
 	reg  Registration
-	prog *sched.Program // nil for schedule-less (Split-based) algorithms
+	ops  []sched.Op // this rank's schedule; unused when reg.Run is set
 
 	// cache memoizes the tuner decision across Rebinds keyed on the full
 	// environment: double-buffered serving (two buffers, same length)
@@ -56,8 +58,8 @@ func NewPlan(c mpi.Comm, n, root int, o Options) (*Plan, error) {
 	return p, nil
 }
 
-// resolve decides and validates for a byte count, caching the schedule
-// of static algorithms for introspection.
+// resolve decides and validates for a byte count, generating this rank's
+// ops of a static algorithm's schedule.
 func (p *Plan) resolve(c mpi.Comm, n int) error {
 	e := envOf(c, n)
 	d := p.cache.Get(e, p.opts.Decide)
@@ -72,15 +74,11 @@ func (p *Plan) resolve(c mpi.Comm, n int) error {
 		return fmt.Errorf("collective: plan: algorithm %q cannot run with %d bytes on %d ranks over %d node(s)",
 			d.Algorithm, e.Bytes, e.Procs, e.NumNodes)
 	}
-	var prog *sched.Program
-	if r.Program != nil {
-		pr, err := r.Program(c.Size(), p.root, n, d.SegSize)
-		if err != nil {
-			return fmt.Errorf("collective: plan: schedule for %q: %w", d.Algorithm, err)
-		}
-		prog = pr
+	p.ops = p.ops[:0]
+	if r.Run == nil {
+		p.ops = r.Ops(p.ops, c.Size(), p.root, n, d.SegSize, c.Rank())
 	}
-	p.n, p.dec, p.reg, p.prog = n, d, r, prog
+	p.n, p.size, p.dec, p.reg = n, c.Size(), d, r
 	return nil
 }
 
@@ -109,22 +107,28 @@ func (p *Plan) SetOptions(c mpi.Comm, o Options) error {
 	return p.resolve(c, p.n)
 }
 
-// Execute runs the planned broadcast on c. The buffer must have the
-// planned length (use Rebind for a different size). It dispatches
-// through the registration's Run — the exact code path Broadcast takes
-// after selection — so a plan execution is byte- and traffic-identical
-// to the equivalent per-call broadcast by construction (including the
-// overlap behavior of the nonblocking variants, which a generic
-// schedule interpreter would lose). Like RunDecision, it emits an
-// operation span on success when the communicator carries a span ring,
-// so persistent Start/Wait rounds appear on the same timeline as
-// per-call broadcasts — and stays allocation-free doing it.
+// Execute runs the planned broadcast on c, the communicator the plan was
+// built on. The buffer must have the planned length (use Rebind for a
+// different size). A static algorithm runs its cached ops through the
+// same interpreter Broadcast uses after generating them, so a plan
+// execution is byte- and traffic-identical to the equivalent per-call
+// broadcast by construction; the others dispatch to the registration's
+// Run. Like RunDecision, it emits an operation span on success when the
+// communicator carries a span ring, so persistent Start/Wait rounds
+// appear on the same timeline as per-call broadcasts — and stays
+// allocation-free doing it.
 func (p *Plan) Execute(c mpi.Comm, buf []byte) error {
 	if len(buf) != p.n {
 		return fmt.Errorf("collective: plan executed with %d bytes, built for %d (Rebind first)", len(buf), p.n)
 	}
 	ring, start := spanStart(c)
-	if err := p.reg.Run(c, buf, p.root, p.dec.SegSize); err != nil {
+	var err error
+	if p.reg.Run != nil {
+		err = p.reg.Run(c, buf, p.root, p.dec.SegSize)
+	} else {
+		err = execBcast(c, p.dec.Algorithm, p.ops, buf)
+	}
+	if err != nil {
 		return err
 	}
 	if ring != nil {
@@ -142,7 +146,17 @@ func (p *Plan) Root() int { return p.root }
 // Decision returns the resolved tuner decision.
 func (p *Plan) Decision() tune.Decision { return p.dec }
 
-// Program returns the cached static schedule, or nil when the planned
-// algorithm's communication pattern depends on runtime communicator
-// state.
-func (p *Plan) Program() *sched.Program { return p.prog }
+// Program generates the planned algorithm's whole-world static schedule,
+// or returns nil when its communication pattern depends on runtime
+// communicator state. The plan itself keeps only this rank's ops, so
+// every call builds the schedule afresh.
+func (p *Plan) Program() *sched.Program {
+	if p.reg.Program == nil {
+		return nil
+	}
+	pr, err := p.reg.Program(p.size, p.root, p.n, p.dec.SegSize)
+	if err != nil {
+		return nil
+	}
+	return pr
+}

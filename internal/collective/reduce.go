@@ -9,6 +9,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/tune"
 )
 
 // Op is a reduction operator over float64 vectors.
@@ -189,7 +190,7 @@ func allreduceFloat64(c mpi.Comm, in, out []float64, op Op) error {
 	if c.Rank() == 0 {
 		encodeFloat64sInto(buf, out[:len(in)])
 	}
-	if err := BcastBinomial(c, buf, 0); err != nil {
+	if err := runStatic(c, buf, 0, 0, tune.Binomial, binomialOps); err != nil {
 		return err
 	}
 	decodeFloat64s(buf, out[:len(in)])

@@ -74,25 +74,47 @@ func (cp Capabilities) Match(e tune.Env) bool {
 	return true
 }
 
-// Registration is one pluggable broadcast algorithm: a stable name, the
-// executable implementation, its capability constraints, and (when the
-// algorithm's communication pattern is data-independent and static) a
-// schedule generator for the verifier, the simulator, and the auto-tuner.
+// OpsFunc is the per-rank form of a static broadcast schedule: it
+// appends the ops rank executes in a p-rank broadcast of n bytes from
+// root to ops and returns the extended slice. segSize is meaningful only
+// for Capabilities.Segmented algorithms (0 = the algorithm's default).
+type OpsFunc func(ops []sched.Op, p, root, n, segSize, rank int) []sched.Op
+
+// Registration is one pluggable broadcast algorithm: a stable name, its
+// capability constraints, and how to execute it. A static algorithm
+// (data-independent communication pattern) is a schedule generator in two
+// forms: Ops, which the runtime interprets rank by rank, and Program, the
+// whole-world schedule for the verifier, the simulator and the auto-tuner.
+// An algorithm whose pattern depends on runtime communicator state
+// supplies Run instead.
 type Registration struct {
 	// Name is the registry key (one of the tune.* algorithm names for the
 	// built-ins; extensions pick fresh names).
 	Name string
 	// Summary is a one-line human description, shown by the CLI tools.
 	Summary string
-	// Run executes the broadcast. segSize is meaningful only for
-	// Capabilities.Segmented algorithms (0 = the algorithm's default).
+	// Run executes a broadcast whose schedule is not static (the
+	// Split-based SMP broadcasts); nil for static algorithms. segSize is
+	// meaningful only for Capabilities.Segmented algorithms.
 	Run func(c mpi.Comm, buf []byte, root, segSize int) error
+	// Ops generates the calling rank's ops of a static schedule; the
+	// broadcast executes them through the schedule interpreter. Ignored
+	// when Run is set.
+	Ops OpsFunc
 	// Caps are the algorithm's hard constraints.
 	Caps Capabilities
 	// Program generates the static communication schedule, or is nil for
-	// algorithms whose schedule depends on runtime communicator state
-	// (the Split-based SMP broadcasts).
+	// algorithms whose schedule depends on runtime communicator state.
 	Program func(p, root, n, segSize int) (*sched.Program, error)
+}
+
+// run executes one broadcast of the registered algorithm: Run when it has
+// one, otherwise the calling rank's slice of its static schedule.
+func (r Registration) run(c mpi.Comm, buf []byte, root, segSize int) error {
+	if r.Run != nil {
+		return r.Run(c, buf, root, segSize)
+	}
+	return runStatic(c, buf, root, segSize, r.Name, r.Ops)
 }
 
 var (
@@ -101,13 +123,14 @@ var (
 )
 
 // Register adds an algorithm to the registry. Names must be unique and
-// non-empty, and a Run implementation is mandatory.
+// non-empty, and the algorithm must be executable: Run or Ops is
+// mandatory.
 func Register(r Registration) error {
 	if r.Name == "" {
 		return fmt.Errorf("collective: register: empty name")
 	}
-	if r.Run == nil {
-		return fmt.Errorf("collective: register %q: nil Run", r.Name)
+	if r.Run == nil && r.Ops == nil {
+		return fmt.Errorf("collective: register %q: neither Run nor Ops", r.Name)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -226,7 +249,7 @@ func RunDecision(c mpi.Comm, buf []byte, root int, d tune.Decision) error {
 			d.Algorithm, e.Bytes, e.Procs, e.NumNodes)
 	}
 	ring, start := spanStart(c)
-	if err := r.Run(c, buf, root, d.SegSize); err != nil {
+	if err := r.run(c, buf, root, d.SegSize); err != nil {
 		return err
 	}
 	if ring != nil {
@@ -242,16 +265,14 @@ func BcastWith(c mpi.Comm, buf []byte, root int, t tune.Tuner) error {
 	return Broadcast(c, buf, root, Options{Tuner: t})
 }
 
-// The built-in broadcast family. Every Bcast* entry point in this package
-// routes through these registrations (Bcast/BcastOpt via the default
-// tuner, the named functions via the same implementations).
+// The built-in broadcast family. Every static entry executes the
+// calling rank's ops from its internal/core generator; only the SMP
+// broadcasts, which split the communicator at run time, are hand-written.
 func init() {
 	MustRegister(Registration{
 		Name:    tune.Binomial,
 		Summary: "whole-buffer binomial tree (MPICH short-message)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastBinomial(c, buf, root)
-		},
+		Ops:     binomialOps,
 		Program: func(p, root, n, _ int) (*sched.Program, error) {
 			return core.BinomialBcast(p, root, n), nil
 		},
@@ -259,8 +280,8 @@ func init() {
 	MustRegister(Registration{
 		Name:    tune.ScatterRdb,
 		Summary: "binomial scatter + recursive-doubling allgather (MPICH medium-message, pow2 only)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastScatterRdbAllgather(c, buf, root)
+		Ops: func(ops []sched.Op, p, root, n, _, rank int) []sched.Op {
+			return core.BcastRdbOps(ops, p, root, n, rank)
 		},
 		Caps: Capabilities{Pow2Only: true},
 		Program: func(p, root, n, _ int) (*sched.Program, error) {
@@ -273,9 +294,7 @@ func init() {
 	MustRegister(Registration{
 		Name:    tune.RingNative,
 		Summary: "binomial scatter + enclosed ring allgather (MPI_Bcast_native)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastScatterRingAllgather(c, buf, root)
-		},
+		Ops:     ringNativeOps,
 		Program: func(p, root, n, _ int) (*sched.Program, error) {
 			return core.BcastNativeProgram(p, root, n), nil
 		},
@@ -283,9 +302,7 @@ func init() {
 	MustRegister(Registration{
 		Name:    tune.RingOpt,
 		Summary: "binomial scatter + non-enclosed ring allgather (the paper's MPI_Bcast_opt)",
-		Run: func(c mpi.Comm, buf []byte, root, _ int) error {
-			return BcastScatterRingAllgatherOpt(c, buf, root)
-		},
+		Ops:     ringOptOps,
 		Program: func(p, root, n, _ int) (*sched.Program, error) {
 			return core.BcastOptProgram(p, root, n), nil
 		},
@@ -293,10 +310,8 @@ func init() {
 	MustRegister(Registration{
 		Name:    tune.RingSeg,
 		Summary: "binomial scatter + segmented enclosed ring allgather (pipelined native)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherSeg(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
+		Ops:     core.BcastNativeSegOps,
+		Caps:    Capabilities{Segmented: true},
 		Program: func(p, root, n, segSize int) (*sched.Program, error) {
 			return core.BcastNativeSegProgram(p, root, n, segSize), nil
 		},
@@ -304,34 +319,8 @@ func init() {
 	MustRegister(Registration{
 		Name:    tune.RingOptSeg,
 		Summary: "binomial scatter + segmented non-enclosed ring allgather (pipelined MPI_Bcast_opt)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherOptSeg(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
-		Program: func(p, root, n, segSize int) (*sched.Program, error) {
-			return core.BcastOptSegProgram(p, root, n, segSize), nil
-		},
-	})
-	MustRegister(Registration{
-		Name:    tune.RingSegNB,
-		Summary: "segmented enclosed ring with pre-posted nonblocking segment transfers (overlap pipeline)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherSegNB(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
-		// Message-for-message the blocking segmented ring's traffic, so
-		// the same schedule describes it.
-		Program: func(p, root, n, segSize int) (*sched.Program, error) {
-			return core.BcastNativeSegProgram(p, root, n, segSize), nil
-		},
-	})
-	MustRegister(Registration{
-		Name:    tune.RingOptSegNB,
-		Summary: "segmented non-enclosed ring with pre-posted nonblocking segment transfers (overlap pipeline)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastScatterRingAllgatherOptSegNB(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
+		Ops:     core.BcastOptSegOps,
+		Caps:    Capabilities{Segmented: true},
 		Program: func(p, root, n, segSize int) (*sched.Program, error) {
 			return core.BcastOptSegProgram(p, root, n, segSize), nil
 		},
@@ -339,10 +328,8 @@ func init() {
 	MustRegister(Registration{
 		Name:    tune.Chain,
 		Summary: "segmented pipeline-chain broadcast (extension baseline)",
-		Run: func(c mpi.Comm, buf []byte, root, segSize int) error {
-			return BcastChain(c, buf, root, segSize)
-		},
-		Caps: Capabilities{Segmented: true},
+		Ops:     core.ChainOps,
+		Caps:    Capabilities{Segmented: true},
 		Program: func(p, root, n, segSize int) (*sched.Program, error) {
 			return core.ChainBcast(p, root, n, segSize), nil
 		},
@@ -363,4 +350,18 @@ func init() {
 		},
 		Caps: Capabilities{MultiNodeOnly: true},
 	})
+}
+
+// The unsegmented generators the SMP broadcast and Allreduce also run
+// directly, adapted to OpsFunc.
+func binomialOps(ops []sched.Op, p, root, n, _, rank int) []sched.Op {
+	return core.BinomialOps(ops, p, root, n, rank)
+}
+
+func ringNativeOps(ops []sched.Op, p, root, n, _, rank int) []sched.Op {
+	return core.BcastNativeOps(ops, p, root, n, rank)
+}
+
+func ringOptOps(ops []sched.Op, p, root, n, _, rank int) []sched.Op {
+	return core.BcastOptOps(ops, p, root, n, rank)
 }

@@ -3,6 +3,7 @@ package collective
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,6 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		tune.Binomial, tune.Chain, tune.ScatterRdb,
 		tune.RingNative, tune.RingOpt, tune.RingSeg, tune.RingOptSeg,
-		tune.RingSegNB, tune.RingOptSegNB,
 		tune.SMP, tune.SMPOpt,
 	}
 	for _, name := range want {
@@ -26,8 +26,8 @@ func TestRegistryComplete(t *testing.T) {
 		if !ok {
 			t.Fatalf("algorithm %q not registered (have %v)", name, Names())
 		}
-		if r.Run == nil {
-			t.Errorf("algorithm %q has nil Run", name)
+		if r.Run == nil && r.Ops == nil {
+			t.Errorf("algorithm %q is not executable", name)
 		}
 		if r.Summary == "" {
 			t.Errorf("algorithm %q has no summary", name)
@@ -98,33 +98,82 @@ func TestRegistryCapabilities(t *testing.T) {
 	}
 }
 
-// TestDefaultTunerGolden proves tune.MPICH3 — the tuner behind Bcast and
-// BcastOpt — reproduces SelectAlgorithm bit-for-bit across a grid of
-// (n, p, tuned) values, including every threshold seam.
+// TestDefaultTunerGolden pins tune.MPICH3 — the tuner behind Bcast and
+// BcastOpt — to MPICH3's broadcast dispatch in a fixed table: both sides
+// of the short- and long-message thresholds and of the minimum process
+// count, power-of-two and non-power-of-two communicators, tuned and
+// untuned. The default dispatch must not depend on topology, so every
+// row is checked on one node and on four.
 func TestDefaultTunerGolden(t *testing.T) {
-	sizes := []int{
-		0, 1, 1024,
-		BcastShortMsgSize - 1, BcastShortMsgSize, BcastShortMsgSize + 1,
-		1 << 16, 1 << 18,
-		BcastLongMsgSize - 1, BcastLongMsgSize, BcastLongMsgSize + 1,
-		1 << 20, 1 << 25,
+	cases := []struct {
+		n, p           int
+		untuned, tuned string
+	}{
+		// Short messages: always binomial.
+		{0, 64, tune.Binomial, tune.Binomial},
+		{BcastShortMsgSize - 1, 64, tune.Binomial, tune.Binomial},
+		{BcastShortMsgSize - 1, 9, tune.Binomial, tune.Binomial},
+		// Communicators below BcastMinProcs: binomial even for long
+		// messages; at BcastMinProcs the size thresholds take over.
+		{1 << 20, BcastMinProcs - 1, tune.Binomial, tune.Binomial},
+		{BcastShortMsgSize, BcastMinProcs - 1, tune.Binomial, tune.Binomial},
+		{1 << 20, BcastMinProcs, tune.RingNative, tune.RingOpt},
+		{BcastShortMsgSize, BcastMinProcs, tune.ScatterRdb, tune.ScatterRdb},
+		// Medium, power-of-two: recursive doubling, tuned or not.
+		{BcastShortMsgSize, 64, tune.ScatterRdb, tune.ScatterRdb},
+		{BcastLongMsgSize - 1, 16, tune.ScatterRdb, tune.ScatterRdb},
+		// Medium, non-power-of-two: the ring path (the paper's
+		// mmsg-npof2 case).
+		{BcastShortMsgSize, 9, tune.RingNative, tune.RingOpt},
+		{BcastLongMsgSize - 1, 129, tune.RingNative, tune.RingOpt},
+		// Long messages: the ring path regardless of process count.
+		{BcastLongMsgSize, 16, tune.RingNative, tune.RingOpt},
+		{BcastLongMsgSize, 9, tune.RingNative, tune.RingOpt},
+		{1 << 25, 256, tune.RingNative, tune.RingOpt},
 	}
-	procs := []int{1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 64, 100, 128, 129, 256, 257}
-	for _, tuned := range []bool{false, true} {
-		tuner := tune.MPICH3{Tuned: tuned}
-		for _, n := range sizes {
-			for _, p := range procs {
-				want := SelectAlgorithm(n, p, tuned).Name()
-				// The default dispatch must not depend on topology: check
-				// both single- and multi-node environments.
-				for _, nodes := range []int{1, 4} {
-					d := tuner.Decide(tune.Env{Bytes: n, Procs: p, NumNodes: nodes})
-					if d.Algorithm != want {
-						t.Fatalf("MPICH3{Tuned:%v}.Decide(n=%d, p=%d, nodes=%d) = %q, SelectAlgorithm says %q",
-							tuned, n, p, nodes, d.Algorithm, want)
+	for _, tc := range cases {
+		for _, tuned := range []bool{false, true} {
+			want := tc.untuned
+			if tuned {
+				want = tc.tuned
+			}
+			for _, nodes := range []int{1, 4} {
+				d := tune.MPICH3{Tuned: tuned}.Decide(tune.Env{Bytes: tc.n, Procs: tc.p, NumNodes: nodes})
+				if d.Algorithm != want || d.SegSize != 0 {
+					t.Errorf("MPICH3{Tuned:%v}.Decide(n=%d, p=%d, nodes=%d) = %+v, want %q with no segment size",
+						tuned, tc.n, tc.p, nodes, d, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRegistryOpsMatchProgram: a static registration's two forms are one
+// schedule — what the runtime generates for each rank (Ops) is exactly
+// that rank's list in the whole-world Program the verifier, the
+// simulator and the tuner consume.
+func TestRegistryOpsMatchProgram(t *testing.T) {
+	for _, r := range Algorithms() {
+		if r.Ops == nil {
+			continue
+		}
+		for _, p := range []int{1, 2, 7, 8, 13} {
+			for _, n := range []int{0, p, 10*p + 3} {
+				for _, seg := range []int{0, 5} {
+					env := tune.Env{Bytes: n, Procs: p, NumNodes: 1}
+					if !r.Caps.Match(env) {
+						continue
 					}
-					if d.SegSize != 0 {
-						t.Fatalf("default tuner must not set SegSize, got %d", d.SegSize)
+					root := p / 2
+					pr, err := r.Program(p, root, n, seg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rank := 0; rank < p; rank++ {
+						ops := r.Ops(nil, p, root, n, seg, rank)
+						if want := pr.OpsOf(rank); !slices.Equal(ops, want) {
+							t.Fatalf("%s p=%d n=%d seg=%d rank %d: Ops %v, Program %v", r.Name, p, n, seg, rank, ops, want)
+						}
 					}
 				}
 			}
@@ -277,5 +326,32 @@ func TestIndexOf(t *testing.T) {
 	}
 	if got := indexOf(nil, 0); got != -1 {
 		t.Errorf("indexOf(nil) = %d want -1", got)
+	}
+}
+
+// TestCapabilityTags pins the CLI flag labels the tools print next to
+// registry names.
+func TestCapabilityTags(t *testing.T) {
+	cases := []struct {
+		caps Capabilities
+		want string
+	}{
+		{Capabilities{}, ""},
+		{Capabilities{Segmented: true}, "segmented"},
+		{Capabilities{Pow2Only: true}, "pow2-only"},
+		{Capabilities{MultiNodeOnly: true}, "multi-node-only"},
+		{Capabilities{MinProcs: 2, Pow2Only: true, Segmented: true}, "min-procs=2 pow2-only segmented"},
+	}
+	for _, tc := range cases {
+		got := ""
+		for i, tag := range tc.caps.Tags() {
+			if i > 0 {
+				got += " "
+			}
+			got += tag
+		}
+		if got != tc.want {
+			t.Errorf("Tags(%+v) = %q, want %q", tc.caps, got, tc.want)
+		}
 	}
 }

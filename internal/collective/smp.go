@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/tune"
 )
 
 // bcastSMP is the multi-core aware broadcast the paper describes for
@@ -22,7 +23,7 @@ func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 	}
 	topo := c.Topology()
 	if topo.NumNodes() == 1 {
-		return BcastBinomial(c, buf, root)
+		return runStatic(c, buf, root, 0, tune.Binomial, binomialOps)
 	}
 	rank := c.Rank()
 	myNode := topo.NodeOf(rank)
@@ -51,7 +52,7 @@ func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 			return fmt.Errorf("collective: smp bcast: root %d not among ranks %v of its node %d (inconsistent topology)",
 				root, topo.RanksOnNode(rootNode), rootNode)
 		}
-		if err := BcastBinomial(nodeComm, buf, localRoot); err != nil {
+		if err := runStatic(nodeComm, buf, localRoot, 0, tune.Binomial, binomialOps); err != nil {
 			return fmt.Errorf("collective: smp bcast phase 1: %w", err)
 		}
 	}
@@ -59,11 +60,11 @@ func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 	// Phase 2: inter-node broadcast among leaders (keys were node ids, so
 	// leader of node k has leaders-comm rank k).
 	if leadersComm != nil {
-		bcast := BcastScatterRingAllgather
+		name, ops := tune.RingNative, ringNativeOps
 		if tuned {
-			bcast = BcastScatterRingAllgatherOpt
+			name, ops = tune.RingOpt, ringOptOps
 		}
-		if err := bcast(leadersComm, buf, rootNode); err != nil {
+		if err := runStatic(leadersComm, buf, rootNode, 0, name, ops); err != nil {
 			return fmt.Errorf("collective: smp bcast phase 2: %w", err)
 		}
 	}
@@ -71,7 +72,7 @@ func bcastSMP(c mpi.Comm, buf []byte, root int, tuned bool) error {
 	// Phase 3: intra-node broadcast everywhere else, from the local
 	// leader (lowest world rank on the node = local rank 0).
 	if myNode != rootNode {
-		if err := BcastBinomial(nodeComm, buf, 0); err != nil {
+		if err := runStatic(nodeComm, buf, 0, 0, tune.Binomial, binomialOps); err != nil {
 			return fmt.Errorf("collective: smp bcast phase 3: %w", err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mpi"
 	"repro/internal/topology"
+	"repro/internal/tune"
 )
 
 // TestRandomCollectiveSequences runs randomized but rank-agreed sequences
@@ -19,9 +20,9 @@ import (
 // ordering bugs).
 func TestRandomCollectiveSequences(t *testing.T) {
 	algos := []bcastFn{
-		BcastBinomial,
-		BcastScatterRingAllgather,
-		BcastScatterRingAllgatherOpt,
+		algo(tune.Binomial),
+		algo(tune.RingNative),
+		algo(tune.RingOpt),
 		Bcast,
 		BcastOpt,
 	}
@@ -93,7 +94,7 @@ func TestNestedSplits(t *testing.T) {
 					buf[i] = fill
 				}
 			}
-			if err := BcastScatterRingAllgatherOpt(comm, buf, 0); err != nil {
+			if err := Broadcast(comm, buf, 0, Options{Algorithm: tune.RingOpt}); err != nil {
 				return err
 			}
 			for _, b := range buf {
@@ -133,8 +134,8 @@ func TestSMPBcastOnLakiShape(t *testing.T) {
 func TestBcastAllRootsExhaustive(t *testing.T) {
 	const p = 11
 	for root := 0; root < p; root++ {
-		runBcast(t, "native-all-roots", BcastScatterRingAllgather, engine.Options{NP: p}, root, 500)
-		runBcast(t, "opt-all-roots", BcastScatterRingAllgatherOpt, engine.Options{NP: p}, root, 500)
+		runBcast(t, "native-all-roots", algo(tune.RingNative), engine.Options{NP: p}, root, 500)
+		runBcast(t, "opt-all-roots", algo(tune.RingOpt), engine.Options{NP: p}, root, 500)
 	}
 }
 

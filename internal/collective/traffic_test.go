@@ -8,6 +8,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/tune"
 )
 
 // measureBcast runs algo under the trace collector and returns the stats.
@@ -29,16 +30,15 @@ func measureBcast(t *testing.T, algo bcastFn, opts engine.Options, root, n int) 
 }
 
 // TestMeasuredTrafficMatchesAnalyticModel is the central cross-validation:
-// the hand-written collectives (ports of the paper's pseudo-code) must
-// produce exactly the per-phase message and byte counts that the analytic
+// the executed broadcasts must produce exactly the per-phase message and byte counts that the analytic
 // model in internal/core predicts — for both ring variants, across
 // process counts, roots, and uneven chunk sizes.
 func TestMeasuredTrafficMatchesAnalyticModel(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 9, 10, 16, 17} {
 		for _, root := range []int{0, p - 1} {
 			for _, n := range []int{p, 8*p + 3, 1 << 10} {
-				natStats := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p}, root, n)
-				optStats := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p}, root, n)
+				natStats := measureBcast(t, algo(tune.RingNative), engine.Options{NP: p}, root, n)
+				optStats := measureBcast(t, algo(tune.RingOpt), engine.Options{NP: p}, root, n)
 
 				scat := core.ScatterTraffic(p, n)
 				nat := core.RingTrafficNative(p, n)
@@ -76,8 +76,8 @@ func TestMeasuredPaperCounts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := 64 * tc.p
-		nat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: tc.p}, 0, n)
-		opt := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: tc.p}, 0, n)
+		nat := measureBcast(t, algo(tune.RingNative), engine.Options{NP: tc.p}, 0, n)
+		opt := measureBcast(t, algo(tune.RingOpt), engine.Options{NP: tc.p}, 0, n)
 		if got := nat.ByTag[core.TagRing].Messages; got != int64(tc.native) {
 			t.Errorf("P=%d native ring messages = %d want %d", tc.p, got, tc.native)
 		}
@@ -94,8 +94,8 @@ func TestMeasuredPaperCounts(t *testing.T) {
 func TestIntraInterSplitOnBlockedPlacement(t *testing.T) {
 	const p, n = 8, 1 << 10
 	topo := topology.Blocked(p, 4)
-	nat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p, Topology: topo}, 0, n)
-	opt := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p, Topology: topo}, 0, n)
+	nat := measureBcast(t, algo(tune.RingNative), engine.Options{NP: p, Topology: topo}, 0, n)
+	opt := measureBcast(t, algo(tune.RingOpt), engine.Options{NP: p, Topology: topo}, 0, n)
 
 	if nat.Intra.Messages+nat.Inter.Messages != nat.Total.Messages {
 		t.Fatalf("classification does not partition: %+v", nat)
@@ -121,7 +121,7 @@ func TestSMPTrafficConcentratesInterNodeOnLeaders(t *testing.T) {
 	const p, n = 12, 1 << 10
 	topo := topology.Blocked(p, 4) // 3 nodes, leaders 0, 4, 8
 	smp := measureBcast(t, BcastSMP, engine.Options{NP: p, Topology: topo}, 0, n)
-	flat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p, Topology: topo}, 0, n)
+	flat := measureBcast(t, algo(tune.RingNative), engine.Options{NP: p, Topology: topo}, 0, n)
 
 	// All SMP inter-node traffic comes from the 3-leader ring phase:
 	// scatter 2 msgs + enclosed ring 3*2 = 6 msgs -> 8 inter messages.
@@ -145,8 +145,8 @@ func TestSMPTrafficConcentratesInterNodeOnLeaders(t *testing.T) {
 func TestTunedNeverSendsMore(t *testing.T) {
 	for _, p := range []int{2, 4, 6, 11, 13} {
 		n := 16 * p
-		nat := measureBcast(t, BcastScatterRingAllgather, engine.Options{NP: p}, 0, n)
-		opt := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p}, 0, n)
+		nat := measureBcast(t, algo(tune.RingNative), engine.Options{NP: p}, 0, n)
+		opt := measureBcast(t, algo(tune.RingOpt), engine.Options{NP: p}, 0, n)
 		want := int64(core.TunedSavedMessages(p))
 		if nat.Total.Messages-opt.Total.Messages != want {
 			t.Fatalf("p=%d: savings %d want %d", p, nat.Total.Messages-opt.Total.Messages, want)
@@ -168,9 +168,7 @@ func TestOptMovesFewerInterNodeBytes(t *testing.T) {
 		t.Skip("moves megabytes per grid point")
 	}
 	const seg = 48 << 10 // below the chunk size at every grid point
-	optSeg := func(c mpi.Comm, buf []byte, root int) error {
-		return BcastScatterRingAllgatherOptSeg(c, buf, root, seg)
-	}
+	optSeg := algoSeg(tune.RingOptSeg, seg)
 	for _, p := range []int{8, 10, 12} {
 		for _, topo := range []*topology.Map{
 			topology.Blocked(p, 4),
@@ -178,8 +176,8 @@ func TestOptMovesFewerInterNodeBytes(t *testing.T) {
 		} {
 			for _, n := range []int{512 << 10, 1 << 20} { // the paper's long-message regime
 				opts := engine.Options{NP: p, Topology: topo}
-				nat := measureBcast(t, BcastScatterRingAllgather, opts, 0, n)
-				opt := measureBcast(t, BcastScatterRingAllgatherOpt, opts, 0, n)
+				nat := measureBcast(t, algo(tune.RingNative), opts, 0, n)
+				opt := measureBcast(t, algo(tune.RingOpt), opts, 0, n)
 				optS := measureBcast(t, optSeg, opts, 0, n)
 
 				if opt.Inter.Bytes >= nat.Inter.Bytes {
@@ -202,48 +200,68 @@ func TestOptMovesFewerInterNodeBytes(t *testing.T) {
 	}
 }
 
-// TestSegCollectivesMatchSchedules cross-validates the hand-written
-// segmented collectives against their generated schedules: the traced
-// message and byte totals of an execution must equal the program stats,
-// for both variants, across segment sizes that split chunks unevenly.
-func TestSegCollectivesMatchSchedules(t *testing.T) {
-	for _, p := range []int{2, 5, 8, 10, 13} {
-		for _, seg := range []int{1, 7, 64} {
-			n := 32*p + 5
-			for _, root := range []int{0, p - 1} {
-				natStats := measureBcast(t, func(c mpi.Comm, buf []byte, r int) error {
-					return BcastScatterRingAllgatherSeg(c, buf, r, seg)
-				}, engine.Options{NP: p}, root, n)
-				natProg := core.BcastNativeSegProgram(p, root, n, seg).Stats()
-				if natStats.Total.Messages != int64(natProg.Messages) || natStats.Total.Bytes != int64(natProg.Bytes) {
-					t.Fatalf("p=%d root=%d seg=%d: native-seg traced %d/%d != schedule %d/%d",
-						p, root, seg, natStats.Total.Messages, natStats.Total.Bytes, natProg.Messages, natProg.Bytes)
-				}
-				optStats := measureBcast(t, func(c mpi.Comm, buf []byte, r int) error {
-					return BcastScatterRingAllgatherOptSeg(c, buf, r, seg)
-				}, engine.Options{NP: p}, root, n)
-				optProg := core.BcastOptSegProgram(p, root, n, seg).Stats()
-				if optStats.Total.Messages != int64(optProg.Messages) || optStats.Total.Bytes != int64(optProg.Bytes) {
-					t.Fatalf("p=%d root=%d seg=%d: opt-seg traced %d/%d != schedule %d/%d",
-						p, root, seg, optStats.Total.Messages, optStats.Total.Bytes, optProg.Messages, optProg.Bytes)
-				}
+// ringSegMessages is the closed-form message count of a segmented ring
+// allgather phase over chunks that are all non-empty: every rank receives
+// each chunk it lacks exactly once, cut into RingSegments pieces. The
+// enclosed ring delivers every chunk but the rank's own; the tuned ring
+// skips everything the rank already owns after the scatter.
+func ringSegMessages(p, n, seg int, tuned bool) int64 {
+	l := core.NewLayout(n, p)
+	var msgs int64
+	for rel := 0; rel < p; rel++ {
+		lo, hi := rel, rel+1
+		if tuned {
+			lo, hi = core.OwnedChunks(rel, p)
+		}
+		for chunk := 0; chunk < p; chunk++ {
+			if chunk < lo || chunk >= hi {
+				msgs += int64(core.RingSegments(l.Count(chunk), seg))
 			}
 		}
 	}
+	return msgs
 }
 
-// TestNBRingIdenticalTraffic: the nonblocking tuned ring transfers
-// exactly the blocking tuned ring's messages and bytes.
-func TestNBRingIdenticalTraffic(t *testing.T) {
-	for _, p := range []int{2, 8, 10, 13} {
-		n := 32 * p
-		blocking := measureBcast(t, BcastScatterRingAllgatherOpt, engine.Options{NP: p}, 0, n)
-		nb := measureBcast(t, BcastScatterRingAllgatherOptNB, engine.Options{NP: p}, 0, n)
-		if blocking.Total != nb.Total {
-			t.Fatalf("p=%d: nb traffic %+v != blocking %+v", p, nb.Total, blocking.Total)
-		}
-		if blocking.ByTag[core.TagRing] != nb.ByTag[core.TagRing] {
-			t.Fatalf("p=%d: nb ring traffic differs", p)
+// TestSegCollectivesMatchSchedules checks the executed segmented
+// broadcasts against independent references: the traced per-phase
+// traffic must equal the closed-form scatter traffic, the unsegmented
+// rings' closed-form byte volume and the per-chunk segment count, and
+// must equal the registered schedule's totals — for both variants, across
+// segment sizes that split chunks unevenly.
+func TestSegCollectivesMatchSchedules(t *testing.T) {
+	for _, p := range []int{2, 5, 8, 10, 13} {
+		for _, seg := range []int{1, 7, 64} {
+			n := 32*p + 5 // every chunk non-empty
+			for _, root := range []int{0, p - 1} {
+				for _, tc := range []struct {
+					name  string
+					tuned bool
+					ring  core.Traffic
+				}{
+					{tune.RingSeg, false, core.RingTrafficNative(p, n)},
+					{tune.RingOptSeg, true, core.RingTrafficTuned(p, n)},
+				} {
+					st := measureBcast(t, algoSeg(tc.name, seg), engine.Options{NP: p}, root, n)
+					scat := core.ScatterTraffic(p, n)
+					if got := st.ByTag[core.TagScatter]; got.Messages != int64(scat.Messages) || got.Bytes != int64(scat.Bytes) {
+						t.Fatalf("%s p=%d root=%d seg=%d: scatter traffic %+v want %+v", tc.name, p, root, seg, got, scat)
+					}
+					ring := st.ByTag[core.TagRing]
+					if want := ringSegMessages(p, n, seg, tc.tuned); ring.Messages != want || ring.Bytes != int64(tc.ring.Bytes) {
+						t.Fatalf("%s p=%d root=%d seg=%d: ring traffic %d msgs/%d B, want %d/%d",
+							tc.name, p, root, seg, ring.Messages, ring.Bytes, want, tc.ring.Bytes)
+					}
+					r, _ := Lookup(tc.name)
+					pr, err := r.Program(p, root, n, seg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if prog := pr.Stats(); st.Total.Messages != int64(prog.Messages) || st.Total.Bytes != int64(prog.Bytes) {
+						t.Fatalf("%s p=%d root=%d seg=%d: traced %d/%d != schedule %d/%d",
+							tc.name, p, root, seg, st.Total.Messages, st.Total.Bytes, prog.Messages, prog.Bytes)
+					}
+				}
+			}
 		}
 	}
 }

@@ -70,6 +70,34 @@ func BcastNativeNodeAware(topo *topology.Map, root, n int) (*sched.Program, erro
 // caller passes segSize <= 0 (a typical pipeline depth trade-off).
 const DefaultChainSegment = 8 << 10
 
+// ChainOps is the per-rank form of ChainBcast. An empty buffer sends
+// nothing: the chain has no segments to stream.
+func ChainOps(ops []sched.Op, p, root, n, segSize, rank int) []sched.Op {
+	if segSize <= 0 {
+		segSize = DefaultChainSegment
+	}
+	rel := RelRank(rank, root, p)
+	for s := 0; s*segSize < n; s++ {
+		off := s * segSize
+		length := min(segSize, n-off)
+		if rel > 0 {
+			ops = append(ops, sched.Op{
+				Kind: sched.OpRecv, From: AbsRank(rel-1, root, p),
+				RecvOff: off, RecvLen: length,
+				Tag: TagChain, Step: s + 1,
+			})
+		}
+		if rel < p-1 {
+			ops = append(ops, sched.Op{
+				Kind: sched.OpSend, To: AbsRank(rel+1, root, p),
+				SendOff: off, SendLen: length,
+				Tag: TagChain, Step: s + 1,
+			})
+		}
+	}
+	return ops
+}
+
 // ChainBcast generates the segmented pipeline-chain broadcast: the buffer
 // is cut into ceil(n/segSize) segments; relative rank r receives each
 // segment from r-1 and forwards it to r+1, interleaving receive and
@@ -78,40 +106,7 @@ const DefaultChainSegment = 8 << 10
 // bandwidth-bound), against which the scatter-ring family is compared in
 // the extension benchmarks.
 func ChainBcast(p, root, n, segSize int) *sched.Program {
-	checkArgs(p, root, n)
-	if segSize <= 0 {
-		segSize = DefaultChainSegment
-	}
-	pr := sched.New("chain-bcast", p, n, root)
-	if p == 1 || n == 0 {
-		// Still emit the zero-byte chain for n == 0 so the collective
-		// has uniform behaviour? No: MPI sends nothing for an empty
-		// buffer in a segmented chain; keep the program empty.
-		if n == 0 {
-			return pr
-		}
-	}
-	segs := (n + segSize - 1) / segSize
-	for rel := 0; rel < p; rel++ {
-		rank := AbsRank(rel, root, p)
-		for s := 0; s < segs; s++ {
-			off := s * segSize
-			length := min(segSize, n-off)
-			if rel > 0 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpRecv, From: AbsRank(rel-1, root, p),
-					RecvOff: off, RecvLen: length,
-					Tag: TagChain, Step: s + 1,
-				})
-			}
-			if rel < p-1 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSend, To: AbsRank(rel+1, root, p),
-					SendOff: off, SendLen: length,
-					Tag: TagChain, Step: s + 1,
-				})
-			}
-		}
-	}
-	return pr
+	return build("chain-bcast", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return ChainOps(ops, p, root, n, segSize, rank)
+	})
 }

@@ -6,9 +6,10 @@ import (
 	"repro/internal/sched"
 )
 
-// Reserved message tags used by the collective algorithms. The executable
-// collectives in internal/collective use the same values, so traces
-// recorded there can be matched against schedules generated here.
+// Reserved message tags the generated schedules stamp on their messages.
+// internal/collective executes these schedules (and its SMP broadcast and
+// barrier reuse the binomial, ring and barrier tags), so a trace recorded
+// there can be matched phase by phase against a schedule generated here.
 const (
 	// TagScatter marks binomial-scatter-phase messages.
 	TagScatter = 0x7F01
@@ -39,9 +40,71 @@ func checkArgs(p, root, n int) {
 // coverEnd returns the byte offset just past the last chunk relative rank
 // rel receives in the scatter phase (its subtree's end, clamped to n).
 func coverEnd(l Layout, rel, p int) int {
-	lo, hi := OwnedChunks(rel, p)
-	_ = lo
+	_, hi := OwnedChunks(rel, p)
 	return l.Disp(hi)
+}
+
+// Every broadcast generator comes in two forms. The per-rank form
+// (BcastOptOps, ...) appends the ops one rank executes to a caller's
+// slice, so a runtime can generate just its own rank's schedule into
+// reusable scratch; it assumes valid arguments (0 <= root < p, n >= 0).
+// The whole-world form (BcastOptProgram, ...) validates the arguments
+// and assembles every rank's per-rank ops into a Program for the
+// verifier, the simulator and the tuner.
+
+// build assembles a whole-world Program from a per-rank generator.
+func build(name string, p, root, n int, gen func(ops []sched.Op, rank int) []sched.Op) *sched.Program {
+	checkArgs(p, root, n)
+	pr := sched.New(name, p, n, root)
+	for rank := range pr.Ranks {
+		pr.Ranks[rank] = gen(nil, rank)
+	}
+	return pr
+}
+
+// treeOps appends rank's ops on the binomial tree rooted at root: the
+// receive from its parent, then the sends to its children, largest
+// subtree first. The whole-buffer broadcast (scatter=false) moves all n
+// bytes over every edge; the scatter moves each subtree's chunk range,
+// clamped to the buffer, and omits an edge whose range is empty (MPICH
+// only posts the send/recv pair when send_size > 0).
+func treeOps(ops []sched.Op, p, root, n, rank int, scatter bool) []sched.Op {
+	l := NewLayout(n, p)
+	tag := TagBinomial
+	if scatter {
+		tag = TagScatter
+	}
+	// span is the byte range the edge into relative rank rel carries.
+	span := func(rel int) (off, length int) {
+		if !scatter {
+			return 0, n
+		}
+		return l.Disp(rel), coverEnd(l, rel, p) - l.Disp(rel)
+	}
+	rel := RelRank(rank, root, p)
+	recvMask := CeilPow2(p)
+	if rel != 0 {
+		recvMask = rel & (-rel) // lowest set bit: distance to parent
+		if off, length := span(rel); !scatter || length > 0 {
+			ops = append(ops, sched.Op{
+				Kind: sched.OpRecv, From: AbsRank(rel-recvMask, root, p),
+				RecvOff: off, RecvLen: length, Tag: tag,
+			})
+		}
+	}
+	for mask := recvMask >> 1; mask > 0; mask >>= 1 {
+		child := rel + mask
+		if child >= p {
+			continue
+		}
+		if off, length := span(child); !scatter || length > 0 {
+			ops = append(ops, sched.Op{
+				Kind: sched.OpSend, To: AbsRank(child, root, p),
+				SendOff: off, SendLen: length, Tag: tag,
+			})
+		}
+	}
+	return ops
 }
 
 // ScatterSchedule generates the binomial scatter tree of Figures 1 and 2:
@@ -51,52 +114,25 @@ func coverEnd(l Layout, rel, p int) int {
 //
 // Messages carry exactly the bytes MPICH's scatter_for_bcast transfers:
 // the subtree byte range clamped to the buffer, and a transfer is omitted
-// entirely when uneven division leaves it empty (MPICH only posts the
-// send/recv pair when send_size > 0).
+// entirely when uneven division leaves it empty.
 func ScatterSchedule(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
-	l := NewLayout(n, p)
-	pr := sched.New("binomial-scatter", p, n, root)
-	for rel := 0; rel < p; rel++ {
-		rank := AbsRank(rel, root, p)
-		// Receive from parent (all ranks except the root).
-		recvMask := CeilPow2(p)
-		if rel != 0 {
-			recvMask = rel & (-rel) // lowest set bit: distance to parent
-			parent := AbsRank(rel-recvMask, root, p)
-			off := l.Disp(rel)
-			length := coverEnd(l, rel, p) - off
-			if length > 0 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpRecv, From: parent,
-					RecvOff: off, RecvLen: length,
-					Tag: TagScatter, Step: 0,
-				})
-			}
-		}
-		// Forward to children, largest subtree first.
-		for mask := recvMask >> 1; mask > 0; mask >>= 1 {
-			child := rel + mask
-			if child >= p {
-				continue
-			}
-			off := l.Disp(child)
-			length := coverEnd(l, child, p) - off
-			if length > 0 {
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSend, To: AbsRank(child, root, p),
-					SendOff: off, SendLen: length,
-					Tag: TagScatter, Step: 0,
-				})
-			}
-		}
-	}
-	return pr
+	return build("binomial-scatter", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return treeOps(ops, p, root, n, rank, true)
+	})
 }
 
-// ringPeers returns the ring neighbours of rank in a P-rank communicator.
-func ringPeers(rank, p int) (left, right int) {
-	return (rank - 1 + p) % p, (rank + 1) % p
+// BinomialOps is the per-rank form of BinomialBcast.
+func BinomialOps(ops []sched.Op, p, root, n, rank int) []sched.Op {
+	return treeOps(ops, p, root, n, rank, false)
+}
+
+// BinomialBcast generates the whole-buffer binomial-tree broadcast MPICH
+// uses for short messages (and for communicators smaller than
+// MinRingProcs): every message carries all n bytes.
+func BinomialBcast(p, root, n int) *sched.Program {
+	return build("binomial-bcast", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return BinomialOps(ops, p, root, n, rank)
+	})
 }
 
 // RingAllgatherNative generates the enclosed-ring allgather of Figure 3:
@@ -105,26 +141,9 @@ func ringPeers(rank, p int) (left, right int) {
 // it already owns from the scatter phase. Exactly P messages flow in every
 // step, P*(P-1) in total — the waste the paper eliminates.
 func RingAllgatherNative(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
-	l := NewLayout(n, p)
-	pr := sched.New("ring-allgather-native", p, n, root)
-	for rank := 0; rank < p; rank++ {
-		left, right := ringPeers(rank, p)
-		j, jnext := rank, left
-		for i := 1; i < p; i++ {
-			relJ := RelRank(j, root, p)
-			relJnext := RelRank(jnext, root, p)
-			pr.Add(rank, sched.Op{
-				Kind: sched.OpSendrecv,
-				To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
-				From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
-				Tag: TagRing, Step: i,
-			})
-			j = jnext
-			jnext = (jnext - 1 + p) % p
-		}
-	}
-	return pr
+	return build("ring-allgather-native", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return segRingOps(ops, p, root, n, wholeChunks(n), rank, false)
+	})
 }
 
 // RingAllgatherTuned generates the paper's non-enclosed ring allgather
@@ -135,43 +154,35 @@ func RingAllgatherNative(p, root, n int) *sched.Program {
 // (their left neighbours, whose outgoing chunks the subtree root does not
 // need).
 func RingAllgatherTuned(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
-	l := NewLayout(n, p)
-	pr := sched.New("ring-allgather-tuned", p, n, root)
-	for rank := 0; rank < p; rank++ {
-		rel := RelRank(rank, root, p)
-		sf := ComputeStepFlag(rel, p)
-		left, right := ringPeers(rank, p)
-		j, jnext := rank, left
-		for i := 1; i < p; i++ {
-			relJ := RelRank(j, root, p)
-			relJnext := RelRank(jnext, root, p)
-			switch {
-			case sf.Step <= p-i:
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSendrecv,
-					To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
-					From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
-					Tag: TagRing, Step: i,
-				})
-			case sf.RecvOnly:
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpRecv,
-					From: left, RecvOff: l.Disp(relJnext), RecvLen: l.Count(relJnext),
-					Tag: TagRing, Step: i,
-				})
-			default:
-				pr.Add(rank, sched.Op{
-					Kind: sched.OpSend,
-					To:   right, SendOff: l.Disp(relJ), SendLen: l.Count(relJ),
-					Tag: TagRing, Step: i,
-				})
-			}
-			j = jnext
-			jnext = (jnext - 1 + p) % p
-		}
+	return build("ring-allgather-tuned", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return segRingOps(ops, p, root, n, wholeChunks(n), rank, true)
+	})
+}
+
+// rdbOps is the per-rank form of RdbAllgather; p must be a power of two.
+func rdbOps(ops []sched.Op, p, root, n, rank int) []sched.Op {
+	if !IsPow2(p) {
+		panic(fmt.Sprintf("core: RdbAllgather requires power-of-two p, got %d", p))
 	}
-	return pr
+	l := NewLayout(n, p)
+	rel := RelRank(rank, root, p)
+	step := 1
+	for mask := 1; mask < p; mask <<= 1 {
+		relDst := rel ^ mask
+		dst := AbsRank(relDst, root, p)
+		myRoot := rel &^ (mask - 1)
+		dstRoot := relDst &^ (mask - 1)
+		sendOff := l.Disp(myRoot)
+		recvOff := l.Disp(dstRoot)
+		ops = append(ops, sched.Op{
+			Kind: sched.OpSendrecv,
+			To:   dst, SendOff: sendOff, SendLen: l.Disp(myRoot+mask) - sendOff,
+			From: dst, RecvOff: recvOff, RecvLen: l.Disp(dstRoot+mask) - recvOff,
+			Tag: TagRdb, Step: step,
+		})
+		step++
+	}
+	return ops
 }
 
 // RdbAllgather generates the recursive-doubling allgather MPICH uses for
@@ -180,89 +191,46 @@ func RingAllgatherTuned(p, root, n int) *sched.Program {
 // partner rel XOR mask, doubling the owned block each round. p must be a
 // power of two.
 func RdbAllgather(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
-	if !IsPow2(p) {
-		panic(fmt.Sprintf("core: RdbAllgather requires power-of-two p, got %d", p))
-	}
-	l := NewLayout(n, p)
-	pr := sched.New("rdb-allgather", p, n, root)
-	for rank := 0; rank < p; rank++ {
-		rel := RelRank(rank, root, p)
-		step := 1
-		for mask := 1; mask < p; mask <<= 1 {
-			relDst := rel ^ mask
-			dst := AbsRank(relDst, root, p)
-			myRoot := rel &^ (mask - 1)
-			dstRoot := relDst &^ (mask - 1)
-			sendOff := l.Disp(myRoot)
-			sendLen := l.Disp(myRoot+mask) - sendOff
-			recvOff := l.Disp(dstRoot)
-			recvLen := l.Disp(dstRoot+mask) - recvOff
-			pr.Add(rank, sched.Op{
-				Kind: sched.OpSendrecv,
-				To:   dst, SendOff: sendOff, SendLen: sendLen,
-				From: dst, RecvOff: recvOff, RecvLen: recvLen,
-				Tag: TagRdb, Step: step,
-			})
-			step++
-		}
-	}
-	return pr
+	return build("rdb-allgather", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return rdbOps(ops, p, root, n, rank)
+	})
 }
 
-// BinomialBcast generates the whole-buffer binomial-tree broadcast MPICH
-// uses for short messages (and for communicators smaller than
-// MinRingProcs): every message carries all n bytes.
-func BinomialBcast(p, root, n int) *sched.Program {
-	checkArgs(p, root, n)
-	pr := sched.New("binomial-bcast", p, n, root)
-	for rel := 0; rel < p; rel++ {
-		rank := AbsRank(rel, root, p)
-		recvMask := CeilPow2(p)
-		if rel != 0 {
-			recvMask = rel & (-rel)
-			parent := AbsRank(rel-recvMask, root, p)
-			pr.Add(rank, sched.Op{
-				Kind: sched.OpRecv, From: parent,
-				RecvOff: 0, RecvLen: n,
-				Tag: TagBinomial, Step: 0,
-			})
-		}
-		for mask := recvMask >> 1; mask > 0; mask >>= 1 {
-			child := rel + mask
-			if child >= p {
-				continue
-			}
-			pr.Add(rank, sched.Op{
-				Kind: sched.OpSend, To: AbsRank(child, root, p),
-				SendOff: 0, SendLen: n,
-				Tag: TagBinomial, Step: 0,
-			})
-		}
-	}
-	return pr
+// BcastNativeOps is the per-rank form of BcastNativeProgram.
+func BcastNativeOps(ops []sched.Op, p, root, n, rank int) []sched.Op {
+	return BcastNativeSegOps(ops, p, root, n, wholeChunks(n), rank)
 }
 
 // BcastNativeProgram is the full native long-message broadcast: binomial
 // scatter followed by the enclosed ring allgather (MPI_Bcast_native).
 func BcastNativeProgram(p, root, n int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherNative(p, root, n))
-	pr.Name = "bcast-native"
-	return pr
+	return build("bcast-native", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return BcastNativeOps(ops, p, root, n, rank)
+	})
+}
+
+// BcastOptOps is the per-rank form of BcastOptProgram.
+func BcastOptOps(ops []sched.Op, p, root, n, rank int) []sched.Op {
+	return BcastOptSegOps(ops, p, root, n, wholeChunks(n), rank)
 }
 
 // BcastOptProgram is the paper's tuned broadcast: binomial scatter
 // followed by the non-enclosed ring allgather (MPI_Bcast_opt).
 func BcastOptProgram(p, root, n int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherTuned(p, root, n))
-	pr.Name = "bcast-opt"
-	return pr
+	return build("bcast-opt", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return BcastOptOps(ops, p, root, n, rank)
+	})
+}
+
+// BcastRdbOps is the per-rank form of BcastRdbProgram.
+func BcastRdbOps(ops []sched.Op, p, root, n, rank int) []sched.Op {
+	return rdbOps(treeOps(ops, p, root, n, rank, true), p, root, n, rank)
 }
 
 // BcastRdbProgram is MPICH's medium-message power-of-two broadcast:
 // binomial scatter followed by recursive-doubling allgather.
 func BcastRdbProgram(p, root, n int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RdbAllgather(p, root, n))
-	pr.Name = "bcast-scatter-rdb"
-	return pr
+	return build("bcast-scatter-rdb", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return BcastRdbOps(ops, p, root, n, rank)
+	})
 }

@@ -13,6 +13,11 @@ import "repro/internal/sched"
 // window. With segSize >= ceil(n/P) every chunk is a single segment and
 // the schedules are identical to their unsegmented counterparts.
 
+// wholeChunks is a segment size that leaves every chunk of an n-byte
+// buffer in one piece: the segmented ring at this size is the unsegmented
+// ring, message for message.
+func wholeChunks(n int) int { return n + 1 }
+
 // DefaultRingSegment is the segment size used by the segmented ring
 // allgathers when the caller passes segSize <= 0. It matches the engine's
 // default eager limit, so default-segmented chunks take the eager path.
@@ -43,80 +48,73 @@ func SegSpan(count, segSize, s int) (off, length int) {
 	return off, length
 }
 
-// segRing generates the segmented ring allgather. With tuned=false every
-// rank runs the full enclosed exchange; with tuned=true each rank
+// segRingOps appends rank's ops of the segmented ring allgather. With
+// tuned=false the rank runs the full enclosed exchange; with tuned=true it
 // computes (step, flag) and degenerates to send-only or receive-only for
 // its final step-1 ring steps, exactly like RingAllgatherTuned — the
 // degeneration applies to every segment of the affected steps.
-func segRing(p, root, n, segSize int, tuned bool, name string) *sched.Program {
-	checkArgs(p, root, n)
+func segRingOps(ops []sched.Op, p, root, n, segSize, rank int, tuned bool) []sched.Op {
 	if segSize <= 0 {
 		segSize = DefaultRingSegment
 	}
 	l := NewLayout(n, p)
-	pr := sched.New(name, p, n, root)
-	for rank := 0; rank < p; rank++ {
-		var sf StepFlag
-		if tuned {
-			sf = ComputeStepFlag(RelRank(rank, root, p), p)
-		}
-		left, right := ringPeers(rank, p)
-		j, jnext := rank, left
-		for i := 1; i < p; i++ {
-			relJ := RelRank(j, root, p)
-			relJnext := RelRank(jnext, root, p)
-			sendCnt, recvCnt := l.Count(relJ), l.Count(relJnext)
-			sendDisp, recvDisp := l.Disp(relJ), l.Disp(relJnext)
-
-			doSend, doRecv := true, true
-			if tuned && sf.Step > p-i {
-				doSend, doRecv = !sf.RecvOnly, sf.RecvOnly
-			}
-			rounds := 0
-			if doSend {
-				rounds = RingSegments(sendCnt, segSize)
-			}
-			if doRecv {
-				if r := RingSegments(recvCnt, segSize); r > rounds {
-					rounds = r
-				}
-			}
-			for s := 0; s < rounds; s++ {
-				sOK := doSend && s < RingSegments(sendCnt, segSize)
-				rOK := doRecv && s < RingSegments(recvCnt, segSize)
-				op := sched.Op{Tag: TagRing, Step: i}
-				if sOK {
-					off, length := SegSpan(sendCnt, segSize, s)
-					op.To, op.SendOff, op.SendLen = right, sendDisp+off, length
-				}
-				if rOK {
-					off, length := SegSpan(recvCnt, segSize, s)
-					op.From, op.RecvOff, op.RecvLen = left, recvDisp+off, length
-				}
-				switch {
-				case sOK && rOK:
-					op.Kind = sched.OpSendrecv
-				case rOK:
-					op.Kind = sched.OpRecv
-				case sOK:
-					op.Kind = sched.OpSend
-				default:
-					continue
-				}
-				pr.Add(rank, op)
-			}
-			j = jnext
-			jnext = (jnext - 1 + p) % p
-		}
+	var sf StepFlag
+	if tuned {
+		sf = ComputeStepFlag(RelRank(rank, root, p), p)
 	}
-	return pr
+	left, right := (rank-1+p)%p, (rank+1)%p
+	j, jnext := rank, left
+	for i := 1; i < p; i++ {
+		relJ := RelRank(j, root, p)
+		relJnext := RelRank(jnext, root, p)
+		sendCnt, recvCnt := l.Count(relJ), l.Count(relJnext)
+		sendDisp, recvDisp := l.Disp(relJ), l.Disp(relJnext)
+
+		doSend, doRecv := true, true
+		if tuned && sf.Step > p-i {
+			doSend, doRecv = !sf.RecvOnly, sf.RecvOnly
+		}
+		sendSegs, recvSegs := 0, 0
+		if doSend {
+			sendSegs = RingSegments(sendCnt, segSize)
+		}
+		if doRecv {
+			recvSegs = RingSegments(recvCnt, segSize)
+		}
+		for s := 0; s < max(sendSegs, recvSegs); s++ {
+			op := sched.Op{Tag: TagRing, Step: i}
+			sOK, rOK := s < sendSegs, s < recvSegs
+			if sOK {
+				off, length := SegSpan(sendCnt, segSize, s)
+				op.To, op.SendOff, op.SendLen = right, sendDisp+off, length
+			}
+			if rOK {
+				off, length := SegSpan(recvCnt, segSize, s)
+				op.From, op.RecvOff, op.RecvLen = left, recvDisp+off, length
+			}
+			switch {
+			case sOK && rOK:
+				op.Kind = sched.OpSendrecv
+			case rOK:
+				op.Kind = sched.OpRecv
+			default:
+				op.Kind = sched.OpSend
+			}
+			ops = append(ops, op)
+		}
+		j = jnext
+		jnext = (jnext - 1 + p) % p
+	}
+	return ops
 }
 
 // RingAllgatherNativeSeg generates the segmented enclosed ring allgather:
 // RingAllgatherNative with every chunk transfer pipelined in segSize
 // pieces.
 func RingAllgatherNativeSeg(p, root, n, segSize int) *sched.Program {
-	return segRing(p, root, n, segSize, false, "ring-allgather-native-seg")
+	return build("ring-allgather-native-seg", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return segRingOps(ops, p, root, n, segSize, rank, false)
+	})
 }
 
 // RingAllgatherTunedSeg generates the segmented non-enclosed ring
@@ -124,21 +122,33 @@ func RingAllgatherNativeSeg(p, root, n, segSize int) *sched.Program {
 // pipelined in segSize pieces. The ownership-aware skips apply to whole
 // steps, so the tuned saving carries over segment by segment.
 func RingAllgatherTunedSeg(p, root, n, segSize int) *sched.Program {
-	return segRing(p, root, n, segSize, true, "ring-allgather-tuned-seg")
+	return build("ring-allgather-tuned-seg", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return segRingOps(ops, p, root, n, segSize, rank, true)
+	})
+}
+
+// BcastNativeSegOps is the per-rank form of BcastNativeSegProgram.
+func BcastNativeSegOps(ops []sched.Op, p, root, n, segSize, rank int) []sched.Op {
+	return segRingOps(treeOps(ops, p, root, n, rank, true), p, root, n, segSize, rank, false)
 }
 
 // BcastNativeSegProgram is the segmented native broadcast: binomial
 // scatter followed by the segmented enclosed ring allgather.
 func BcastNativeSegProgram(p, root, n, segSize int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherNativeSeg(p, root, n, segSize))
-	pr.Name = "bcast-native-seg"
-	return pr
+	return build("bcast-native-seg", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return BcastNativeSegOps(ops, p, root, n, segSize, rank)
+	})
+}
+
+// BcastOptSegOps is the per-rank form of BcastOptSegProgram.
+func BcastOptSegOps(ops []sched.Op, p, root, n, segSize, rank int) []sched.Op {
+	return segRingOps(treeOps(ops, p, root, n, rank, true), p, root, n, segSize, rank, true)
 }
 
 // BcastOptSegProgram is the segmented tuned broadcast: binomial scatter
 // followed by the segmented non-enclosed ring allgather.
 func BcastOptSegProgram(p, root, n, segSize int) *sched.Program {
-	pr := ScatterSchedule(p, root, n).MustConcat(RingAllgatherTunedSeg(p, root, n, segSize))
-	pr.Name = "bcast-opt-seg"
-	return pr
+	return build("bcast-opt-seg", p, root, n, func(ops []sched.Op, rank int) []sched.Op {
+		return BcastOptSegOps(ops, p, root, n, segSize, rank)
+	})
 }

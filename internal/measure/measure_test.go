@@ -73,7 +73,7 @@ func TestEngineMeasurerSegmented(t *testing.T) {
 	if _, err := m.Measure(cand(tune.RingOptSeg, 512), 5, 4096+3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Measure(cand(tune.RingOptSegNB, 512), 5, 4096+3); err != nil {
+	if _, err := m.Measure(cand(tune.RingSeg, 512), 5, 4096+3); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,10 +19,10 @@
 //   - internal/netsim replays Programs against a virtual-time network
 //     model to predict completion times at paper scale.
 //
-// The executable collectives in internal/collective are hand-written
-// against the mpi.Comm interface (faithful to the paper's pseudo-code);
-// tests cross-validate their observed message traces against the
-// Programs generated here.
+// The same generators also run the broadcasts: internal/collective
+// generates only the calling rank's ops of a Program and interprets them
+// against the mpi.Comm interface, so the schedule the verifier checks is
+// the one that moves the bytes.
 package sched
 
 import (

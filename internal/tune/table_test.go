@@ -184,8 +184,8 @@ func TestTableValidateRejects(t *testing.T) {
 
 func TestMPICH3KnownPoints(t *testing.T) {
 	// Spot checks straight from the paper's Section V description; the
-	// exhaustive golden comparison against collective.SelectAlgorithm
-	// lives in internal/collective (which owns the legacy dispatcher).
+	// threshold-seam table lives in internal/collective's
+	// TestDefaultTunerGolden.
 	cases := []struct {
 		n, p  int
 		tuned bool

@@ -11,8 +11,8 @@
 //   - Decision names a registered algorithm plus its parameters
 //     (currently the segment size for pipelined schedules);
 //   - Tuner maps Env to Decision. MPICH3 is the default tuner and
-//     reproduces MPICH3's dispatch bit-for-bit (golden-tested against
-//     collective.SelectAlgorithm);
+//     reproduces MPICH3's dispatch bit-for-bit (pinned by a fixed
+//     decision table in internal/collective's tests);
 //   - Table is a JSON-serializable rule list (size/procs/topology/
 //     placement-keyed, first match wins) and TableTuner dispatches
 //     through one;
@@ -26,8 +26,9 @@
 //     at varying cores per node), emitting one placement-keyed rule group
 //     per placement.
 //
-// The executable algorithms live in internal/collective and register
-// themselves into a registry keyed by the names below; internal/collective
+// The algorithms register into internal/collective's registry keyed by
+// the names below — every static one as an internal/core schedule
+// generator that the runtime interprets — and internal/collective
 // depends on this package (for Env/Decision/Tuner), never the reverse.
 //
 // # Where selection happens: the facade architecture
@@ -76,13 +77,6 @@ const (
 	// RingOptSeg is the segmented tuned ring broadcast: the non-enclosed
 	// ring allgather pipelined in SegSize chunks.
 	RingOptSeg = "scatter-ring-allgather-opt-seg"
-	// RingSegNB and RingOptSegNB are the overlap-aware segmented rings:
-	// the same pipelined schedules as RingSeg/RingOptSeg, but every
-	// segment receive of a ring step is pre-posted through Irecv before
-	// any segment is forwarded, so the transport can land segment k+1
-	// while segment k is still being sent.
-	RingSegNB    = "scatter-ring-allgather-seg-nb"
-	RingOptSegNB = "scatter-ring-allgather-opt-seg-nb"
 	// Chain is the segmented pipeline-chain broadcast (extension
 	// baseline; takes a segment-size parameter).
 	Chain = "chain"
