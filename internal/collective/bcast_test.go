@@ -186,6 +186,52 @@ func TestRdbRejectsNonPow2(t *testing.T) {
 	}
 }
 
+// TestSelectAlgorithm pins the selection Bcast and BcastOpt make: the
+// Options each passes to Broadcast must resolve to MPICH3's dispatch,
+// untuned for Bcast and tuned for BcastOpt.
+func TestSelectAlgorithm(t *testing.T) {
+	bcast := Options{}
+	bcastOpt := Options{Tuner: tune.MPICH3{Tuned: true}}
+	cases := []struct {
+		n, p  int
+		tuned bool
+		want  string
+	}{
+		// Short messages: always binomial.
+		{0, 64, false, tune.Binomial},
+		{12287, 64, false, tune.Binomial},
+		{12287, 64, true, tune.Binomial},
+		// Small communicators: always binomial, even long messages.
+		{1 << 20, 7, false, tune.Binomial},
+		{1 << 20, 7, true, tune.Binomial},
+		// Medium, power-of-two: recursive doubling.
+		{12288, 64, false, tune.ScatterRdb},
+		{524287, 16, false, tune.ScatterRdb},
+		{524287, 16, true, tune.ScatterRdb},
+		// Medium, non-power-of-two: the ring path (the paper's
+		// mmsg-npof2 case).
+		{12288, 9, false, tune.RingNative},
+		{12288, 9, true, tune.RingOpt},
+		{524287, 129, false, tune.RingNative},
+		{524287, 129, true, tune.RingOpt},
+		// Long messages: the ring path regardless of process count.
+		{524288, 16, false, tune.RingNative},
+		{524288, 16, true, tune.RingOpt},
+		{1 << 25, 256, false, tune.RingNative},
+		{1 << 25, 256, true, tune.RingOpt},
+	}
+	for _, tc := range cases {
+		o := bcast
+		if tc.tuned {
+			o = bcastOpt
+		}
+		got := o.Decide(tune.Env{Bytes: tc.n, Procs: tc.p, NumNodes: 1})
+		if got.Algorithm != tc.want || got.SegSize != 0 {
+			t.Errorf("Decide(n=%d, p=%d, tuned=%v) = %+v want %q with no segment size", tc.n, tc.p, tc.tuned, got, tc.want)
+		}
+	}
+}
+
 // TestDispatchUsesThresholdSizes runs the dispatcher at exactly the
 // paper's threshold sizes end-to-end (correctness at the seams).
 func TestDispatchUsesThresholdSizes(t *testing.T) {

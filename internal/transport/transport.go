@@ -95,7 +95,9 @@
 // flush timer of ~RTO/4 of the reverse flow (clamped to [100µs, 5ms])
 // expires; duplicates and out-of-order arrivals are acknowledged
 // immediately, since the sender is evidently retransmitting or filling
-// a hole. AckEvery=1 restores ack-per-datagram.
+// a hole. A retransmit burst of duplicates gets one re-ack, not one per
+// datagram: further duplicates at the same position within the ack
+// delay are answered by it. AckEvery=1 restores ack-per-datagram.
 //
 // Batched I/O: on Linux, multi-packet flushes go through sendmmsg and
 // the receive loop drains the socket with recvmmsg — one syscall per

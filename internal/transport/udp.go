@@ -195,6 +195,12 @@ type recvFlow struct {
 
 	unacked int       // in-order data datagrams since the last ack sent
 	ackDue  time.Time // deadline for the delayed cumulative ack; zero when none pending
+
+	// dupAck is the cumulative position last re-acked for a duplicate,
+	// and dupAckAt when: duplicates arriving within an ack delay of that
+	// re-ack, at the same position, are answered by it.
+	dupAck   uint64
+	dupAckAt time.Time
 }
 
 // NewUDP builds a UDP transport from cfg. The transport is idle until
@@ -902,7 +908,18 @@ func (t *UDP) handleData(addr net.Addr, pkt, ackBuf []byte) {
 	switch {
 	case h.seq < f.nextSeq:
 		// Duplicate (our earlier ack was lost, or a retransmit raced the
-		// delayed ack): re-ack immediately below.
+		// delayed ack): re-ack immediately below — once per retransmit
+		// burst. A timeout rewrites a whole window, and one cumulative
+		// ack covers all of it; a re-ack per duplicate would multiply
+		// the ack traffic exactly when the path is congested. Should
+		// that one re-ack be lost, the sender's next (backed-off)
+		// timeout lands after the suppression window, which is ~RTO/4.
+		if t.ackEvery > 1 && f.dupAck == f.nextSeq-1 && !f.dupAckAt.IsZero() &&
+			time.Since(f.dupAckAt) < f.ackDelay(t.rto) {
+			ackNow = false
+		} else {
+			f.dupAck, f.dupAckAt = f.nextSeq-1, time.Now()
+		}
 	case h.seq > f.nextSeq:
 		// Out of order: hold, and ack our position immediately so the
 		// sender sees the hole.
